@@ -8,11 +8,21 @@ minimal prefix; vertices with identical links are interchangeable and only
 one representative per class is branched on, which keeps the frontier small
 even for highly symmetric graphs.
 
-Enumeration grows graphs one vertex at a time, trying every link for the new
-vertex and deduplicating by canonical form.  A predicate flagged ``monotone``
-(closed under taking subgraphs) prunes both the link search and intermediate
-levels.  Budgets are deliberate: the module refuses sizes it cannot handle
-exactly rather than degrading silently.
+The final beam of that search holds one minimal labeling per coset of the
+twin-class permutations, so it also yields generators of the automorphism
+group (``automorphism_generators``).
+
+Enumeration grows graphs one vertex at a time and deduplicates children by
+canonical form.  The links of the new vertex are walked in a fixed preorder,
+and a child gets a canonical form only when its link is the first of its
+orbit under the parent's automorphisms: the rest of the orbit gives
+isomorphic children found earlier from the same parent, so the stored
+representatives are exactly those of trying every link (the parent-side half
+of canonical augmentation; McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).  A predicate flagged ``monotone`` (closed under
+taking subgraphs) prunes both the link search and intermediate levels.
+Budgets are deliberate: the module refuses sizes it cannot handle exactly
+rather than degrading silently.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from math import factorial
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetError
-from .rgraph import RGraph, equivalence_classes, mask_to_tuple
+from .rgraph import RGraph, VertexPartition, equivalence_classes, mask_to_tuple
 
 CANONICAL_MAX_N = 10
 
@@ -58,14 +68,15 @@ class CanonicalForm:
 _SENTINEL = 1 << 63
 
 
-@lru_cache(maxsize=1 << 17)
-def canonical_form(h: RGraph) -> CanonicalForm:
+def _search(h: RGraph) -> tuple[list[int], list[tuple[int, ...]], VertexPartition]:
+    """The minimal edge-mask list of ``h``, the final beam of labelings that
+    attain it (each lists the old vertices in new-label order, choosing only
+    the least unassigned vertex of each twin class), and the twin classes."""
     if h.n > CANONICAL_MAX_N:
         raise BudgetError(f"canonical_form supports n <= {CANONICAL_MAX_N}, got {h.n}")
     n = h.n
     eq = equivalence_classes(h)
     class_of = eq.assignment
-    class_sizes = [len(c) for c in eq.classes]
     edges_at: list[list[int]] = [[] for _ in range(n)]
     for m in h.edge_masks:
         rest = m
@@ -115,11 +126,43 @@ def canonical_form(h: RGraph) -> CanonicalForm:
         if best_batch is not None and len(best_batch) > 1:
             prefix.extend(best_batch[:-1])
         beam = kept if kept else [((), 0)]
+    return prefix, [pos for pos, _ in beam], eq
+
+
+@lru_cache(maxsize=1 << 17)
+def canonical_form(h: RGraph) -> CanonicalForm:
+    prefix, beam, eq = _search(h)
     aut = len(beam)
-    for s in class_sizes:
-        aut *= factorial(s)
+    for c in eq.classes:
+        aut *= factorial(len(c))
     edges = tuple(mask_to_tuple(m) for m in prefix)
-    return CanonicalForm(h.r, n, edges, aut)
+    return CanonicalForm(h.r, h.n, edges, aut)
+
+
+def automorphism_generators(h: RGraph) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of ``h``, each a vertex map given
+    as ``p`` with ``p[v]`` the image of ``v``.
+
+    Two beam labelings with the same minimal edge list differ by an
+    automorphism, and the beam holds one labeling per coset of the twin-class
+    permutations (hence ``automorphisms = len(beam) * prod(|class|!)``).  So
+    the maps from the first labeling to each other one, together with the
+    transpositions of consecutive twins, generate the group.  None of them is
+    the identity, so the list is empty exactly when the group is trivial.
+    """
+    _, beam, eq = _search(h)
+    gens = []
+    for other in beam[1:]:
+        p = [0] * h.n
+        for a, b in zip(beam[0], other):
+            p[a] = b
+        gens.append(tuple(p))
+    for c in eq.classes:
+        for a, b in zip(c, c[1:]):
+            p = list(range(h.n))
+            p[a], p[b] = b, a
+            gens.append(tuple(p))
+    return gens
 
 
 def canonical_relabel(h: RGraph) -> RGraph:
@@ -152,10 +195,13 @@ def enumerate_rgraphs(
     """One representative per isomorphism class of r-graphs on exactly ``n``
     labeled vertices (isolated vertices included) satisfying ``predicate``.
 
-    ``monotone=True`` asserts the predicate is closed under taking subgraphs;
-    this lets intermediate levels and partial links be pruned.  Without the
-    flag the predicate is applied only to the final level, so the whole space
-    is enumerated first.
+    The predicate must not depend on vertex labels: links of the new vertex
+    are tried only once per automorphism orbit of the parent, which relies on
+    isomorphic children getting the same verdict.  ``monotone=True`` asserts
+    the predicate is closed under taking subgraphs (which implies label
+    invariance); this lets intermediate levels and partial links be pruned.
+    Without the flag the predicate is applied only to the final level, so the
+    whole space is enumerated first.
     """
     limit = max_n if max_n is not None else ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
     if n > limit:
@@ -167,6 +213,7 @@ def enumerate_rgraphs(
     for k in range(n):
         out: dict[tuple, RGraph] = {}
         pool = [c + (k,) for c in itertools.combinations(range(k), r - 1)]
+        index = {e: i for i, e in enumerate(pool)}
 
         def register(g: RGraph) -> None:
             key = canonical_form(g).key
@@ -175,17 +222,47 @@ def enumerate_rgraphs(
 
         for base in reps:
             base_edges = base.edges
+            # Aut(base) acting on link edges; a child whose link is not the
+            # first of its orbit in the preorder below is isomorphic to an
+            # earlier child of this parent, so it cannot be the stored one.
+            moves = []
+            if len(pool) > 1:
+                for p in automorphism_generators(base):
+                    images = (tuple(sorted(p[v] for v in e[:-1])) + (k,) for e in pool)
+                    moves.append(tuple(index[e] for e in images))
 
-            def grow(start: int, chosen: tuple[tuple[int, ...], ...]) -> None:
+            def grow(
+                start: int, chosen: tuple[tuple[int, ...], ...], picked: tuple[int, ...]
+            ) -> None:
                 g = RGraph(r, k + 1, base_edges + chosen)
                 if monotone and predicate is not None and not predicate(g):
                     return  # no supergraph can satisfy a subgraph-closed predicate
-                register(g)
+                if not moves or _first_in_orbit(picked, moves):
+                    register(g)
                 for i in range(start, len(pool)):
-                    grow(i + 1, chosen + (pool[i],))
+                    grow(i + 1, chosen + (pool[i],), picked + (i,))
 
-            grow(0, ())
+            grow(0, (), ())
         reps = [out[key] for key in sorted(out)]
     if predicate is not None and not monotone:
         reps = [g for g in reps if predicate(g)]
     return reps
+
+
+def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]]) -> bool:
+    """Whether the sorted tuple ``t`` is the lexicographically least set in
+    its orbit under the permutations ``moves``; stops at the first smaller."""
+    seen = {t}
+    frontier = [t]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for p in moves:
+                img = tuple(sorted([p[i] for i in s]))
+                if img < t:
+                    return False
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return True

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+from .errors import SoundnessError
+
 MAX_VERTICES = 64
 
 
@@ -314,5 +316,6 @@ def induced(h: RGraph, keep: Iterable[int]) -> tuple[RGraph, dict[int, int]]:
 
 def degree_profile(h: RGraph) -> DegreeProfile:
     degs = h.degrees
-    assert sum(degs) == h.r * len(h.edges)  # handshake
+    if sum(degs) != h.r * len(h.edges):  # handshake
+        raise SoundnessError(f"degree sum {sum(degs)} != r * edges = {h.r * len(h.edges)}")
     return DegreeProfile(degs, min(degs) if degs else 0)

@@ -318,15 +318,21 @@ def in_hull(h: RGraph, spec: ClassSpec) -> bool:
 # low-degree cleaning
 
 
-def low_degree_set(h: RGraph, pi_ref: float, eps: float) -> frozenset[int]:
-    """Vertices of degree at most ``(pi_ref/(r-1)! - 2*sqrt(eps)) * n^(r-1)``."""
+def low_degree_set(h: RGraph, pi_ref: float | Fraction, eps: float | Fraction) -> frozenset[int]:
+    """Vertices of degree at most ``(pi_ref/(r-1)! - 2*sqrt(eps)) * n^(r-1)``.
+
+    The threshold is a float even for ``Fraction`` inputs, because
+    ``sqrt(eps)`` is; only ``pi_ref/(r-1)!`` is exact before the subtraction.
+    """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    thr = (float(pi_ref) / factorial(h.r - 1) - 2 * sqrt(eps)) * h.n ** (h.r - 1)
+    thr = (pi_ref / factorial(h.r - 1) - 2 * sqrt(eps)) * h.n ** (h.r - 1)
     return frozenset(v for v in range(h.n) if h.degrees[v] <= thr)
 
 
-def trim_low_degree(h: RGraph, pi_ref: float, eps: float) -> tuple[RGraph, dict[int, int]]:
+def trim_low_degree(
+    h: RGraph, pi_ref: float | Fraction, eps: float | Fraction
+) -> tuple[RGraph, dict[int, int]]:
     return delete_vertices(h, low_degree_set(h, pi_ref, eps))
 
 
@@ -344,15 +350,18 @@ class ExtendVerdict:
     degree_ok: bool
     base_in_hull: bool
     self_in_hull: bool
-    threshold: float
+    threshold: float | Fraction
 
 
 def check_vertex_extendable(
-    h: RGraph, v: int, spec: ClassSpec, zeta: float, pi_ref: float
+    h: RGraph, v: int, spec: ClassSpec, zeta: float | Fraction, pi_ref: float | Fraction
 ) -> ExtendVerdict:
     """Instance check of the lifting step: a graph of large minimum degree
-    whose vertex-deleted subgraph lies in the hull should lie in the hull."""
-    thr = (float(pi_ref) / factorial(h.r - 1) - zeta) * h.n ** (h.r - 1)
+    whose vertex-deleted subgraph lies in the hull should lie in the hull.
+
+    The threshold is computed in the arithmetic of ``pi_ref`` and ``zeta``,
+    so ``Fraction`` inputs give an exact strict comparison."""
+    thr = (pi_ref / factorial(h.r - 1) - zeta) * h.n ** (h.r - 1)
     degree_ok = h.min_degree() > thr
     base, _ = delete_vertices(h, (v,))
     base_ok = in_hull(base, spec)
@@ -375,7 +384,11 @@ class PeelResult:
 
 
 def extend_by_set(
-    h: RGraph, vertices: Iterable[int], spec: ClassSpec, eps: float, pi_ref: float
+    h: RGraph,
+    vertices: Iterable[int],
+    spec: ClassSpec,
+    eps: float | Fraction,
+    pi_ref: float | Fraction,
 ) -> PeelResult:
     """Peel a hull-certifying deletion set down to a minimal one.
 
@@ -396,7 +409,7 @@ def extend_by_set(
                 residual.discard(v)
                 progress = True
                 break
-    thr = (float(pi_ref) / factorial(h.r - 1) - eps) * h.n ** (h.r - 1)
+    thr = (pi_ref / factorial(h.r - 1) - eps) * h.n ** (h.r - 1)
     return PeelResult(
         frozenset(residual),
         member=in_hull(h, spec),
@@ -567,7 +580,6 @@ def greedy_embed(
     for trial in range(1, trials + 1):
         sel = {j: rng.choice(classes[j]) for j in t}
         if verify(sel):
-            assert verify(sel)  # returned selections are re-checked, not trusted
             return EmbedResult(FOUND, sel, hypothesis_report(), trial)
     hyp = hypothesis_report()
     status = SUSPICIOUS if all(hyp.values()) else ABSENT

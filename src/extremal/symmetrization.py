@@ -175,7 +175,8 @@ def symmetrize(h: RGraph, fam: FamilySpec, mode: str = CLASS_MODE) -> SymTrace:
         cur = nxt
     else:
         raise SoundnessError("symmetrization failed to terminate within its lex bound")
-    assert _select_pair(cur) is None
+    if _select_pair(cur) is not None:
+        raise SoundnessError("symmetrization stopped with a pair still to symmetrize")
     return SymTrace(tuple(steps), cur)
 
 

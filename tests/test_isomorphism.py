@@ -7,12 +7,13 @@ from extremal import constructions as cons
 from extremal.errors import BudgetError
 from extremal.isomorphism import (
     are_isomorphic,
+    automorphism_generators,
     canonical_form,
     canonical_relabel,
     enumerate_rgraphs,
     relabel,
 )
-from extremal.morphism import is_free, single_graph
+from extremal.morphism import generalized_triangles, is_free, single_graph
 from extremal.rgraph import RGraph, mask_of
 
 from conftest import cycle, random_rgraph
@@ -52,6 +53,30 @@ def test_k3_relabeled():
     assert canonical_form(relabel(k3, [2, 0, 1])) == canonical_form(k3)
 
 
+def group_closure(n, gens):
+    ident = tuple(range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                c = tuple(g[a[v]] for v in range(n))
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return seen
+
+
+def assert_generates_automorphisms(h):
+    gens = automorphism_generators(h)
+    for p in gens:
+        assert sorted(p) == list(range(h.n))
+        assert relabel(h, p).edges == h.edges
+    assert len(group_closure(h.n, gens)) == canonical_form(h).automorphisms
+
+
 @pytest.mark.parametrize(
     "graph,count",
     [
@@ -64,6 +89,7 @@ def test_k3_relabeled():
 )
 def test_automorphism_counts(graph, count):
     assert canonical_form(graph).automorphisms == count
+    assert_generates_automorphisms(graph)
 
 
 def test_canonical_relabel_is_isomorphic():
@@ -106,3 +132,74 @@ def test_enumeration_deterministic():
     a = enumerate_rgraphs(5, 2)
     b = enumerate_rgraphs(5, 2)
     assert [g.edges for g in a] == [g.edges for g in b]
+
+
+def dedupe_enumerate(n, r, predicate=None, *, monotone=False):
+    """The enumerator as it was before orbit pruning: every admissible link
+    of every parent, deduplicated by canonical form.  Kept as the oracle for
+    the pruned enumerator."""
+    reps = [RGraph(r, 0, ())]
+    for k in range(n):
+        out = {}
+        pool = [c + (k,) for c in itertools.combinations(range(k), r - 1)]
+        for base in reps:
+
+            def grow(start, chosen):
+                g = RGraph(r, k + 1, base.edges + chosen)
+                if monotone and predicate is not None and not predicate(g):
+                    return
+                out.setdefault(canonical_form(g).key, g)
+                for i in range(start, len(pool)):
+                    grow(i + 1, chosen + (pool[i],))
+
+            grow(0, ())
+        reps = [out[key] for key in sorted(out)]
+    if predicate is not None and not monotone:
+        reps = [g for g in reps if predicate(g)]
+    return reps
+
+
+K3 = single_graph(cons.complete_graph(3))
+K4 = single_graph(cons.complete_graph(4))
+SIGMA3 = generalized_triangles(3)
+
+DIFFERENTIAL_CASES = (
+    [(n, 2, None, False) for n in range(1, 7)]
+    + [(n, 3, None, False) for n in range(1, 6)]
+    + [(n, 2, K3, True) for n in range(1, 8)]
+    + [(n, 2, K4, True) for n in range(1, 7)]
+    + [(n, 3, SIGMA3, True) for n in range(1, 6)]
+)
+
+
+@pytest.mark.parametrize("n,r,fam,monotone", DIFFERENTIAL_CASES)
+def test_orbit_pruning_keeps_representatives(n, r, fam, monotone):
+    pred = None if fam is None else (lambda g: is_free(g, fam))
+    new = enumerate_rgraphs(n, r, pred, monotone=monotone)
+    old = dedupe_enumerate(n, r, pred, monotone=monotone)
+    assert [g.edges for g in new] == [g.edges for g in old]
+
+
+def test_orbit_pruning_keeps_representatives_without_monotone():
+    def no_isolated(g):
+        return min(g.degrees) > 0
+
+    for n, r in [(6, 2), (5, 3)]:
+        new = enumerate_rgraphs(n, r, no_isolated)
+        old = dedupe_enumerate(n, r, no_isolated)
+        assert [g.edges for g in new] == [g.edges for g in old]
+
+
+def test_automorphism_generators_on_random_graphs():
+    rng = random.Random(23)
+    for _ in range(200):
+        r = rng.choice([2, 3])
+        n = rng.randint(0, 6)
+        assert_generates_automorphisms(random_rgraph(rng, n, r, rng.choice([0.2, 0.5, 0.8])))
+
+
+def test_trivial_group_has_no_generators():
+    # triangle 2-3-4 with a path of length 2 hanging off 2 and a pendant on 4
+    rigid = RGraph(2, 6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)))
+    assert canonical_form(rigid).automorphisms == 1
+    assert automorphism_generators(rigid) == []

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extremal import constructions as cons
+from extremal.errors import SoundnessError
 from extremal.lagrangian import evaluate
 from extremal.rgraph import (
     RGraph,
@@ -251,6 +252,11 @@ class TestDeletionAndDegrees:
         prof = degree_profile(cons.complete_rgraph(4, 3))
         assert prof.degrees == (3, 3, 3, 3)
         assert prof.min_degree == 3
+
+    def test_degree_profile_checks_handshake(self, monkeypatch):
+        monkeypatch.setattr(RGraph, "degrees", property(lambda h: (0,) * h.n))
+        with pytest.raises(SoundnessError, match="degree sum"):
+            degree_profile(cons.complete_rgraph(4, 3))
 
     @given(rgraphs())
     def test_handshake(self, h):

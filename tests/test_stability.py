@@ -207,6 +207,14 @@ class TestExtendability:
         v = check_vertex_extendable(cycle(5), 0, BIPARTITE, 0.6, 0.5)
         assert v.status == COUNTEREXAMPLE
 
+    def test_exact_threshold_is_strict(self):
+        # (2/3 - 4/15) * 5 is exactly 2, C5's min degree; in floats it rounds
+        # to 1.9999999999999998 and the degree gate would open
+        v = check_vertex_extendable(cycle(5), 0, BIPARTITE, Fraction(4, 15), Fraction(2, 3))
+        assert v.threshold == 2 and not v.degree_ok and v.status == VACUOUS
+        f = check_vertex_extendable(cycle(5), 0, BIPARTITE, 4 / 15, 2 / 3)
+        assert f.threshold == (2 / 3 - 4 / 15) * 5 < 2 and f.degree_ok
+
 
 class TestExtendBySet:
     def test_pendant_success(self):
@@ -228,6 +236,11 @@ class TestExtendBySet:
     def test_precondition(self):
         with pytest.raises(ValueError):
             extend_by_set(cycle(5), [], BIPARTITE, 0.1, 0.5)
+
+    def test_exact_threshold_is_strict(self):
+        exact = extend_by_set(cycle(5), [0], BIPARTITE, Fraction(4, 15), Fraction(2, 3))
+        assert exact.size_ok and not exact.degree_ok
+        assert extend_by_set(cycle(5), [0], BIPARTITE, 4 / 15, 2 / 3).degree_ok
 
     def test_success_iff_in_hull(self):
         rng = random.Random(15)

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from extremal import constructions as cons
+from extremal import symmetrization
+from extremal.errors import SoundnessError
 from extremal.isomorphism import are_isomorphic
 from extremal.morphism import generalized_triangles, is_free, single_graph, weak_expansions
 from extremal.rgraph import (
@@ -91,6 +93,13 @@ class TestSymmetrize:
     def test_not_free_input_rejected(self):
         with pytest.raises(ValueError):
             symmetrize(cons.complete_graph(3), K3FAM)
+
+    def test_final_graph_is_checked_symmetrized(self, monkeypatch):
+        # the loop sees no pair, the closing check sees one
+        answers = iter([None, ((0,), (1,))])
+        monkeypatch.setattr(symmetrization, "_select_pair", lambda h: next(answers))
+        with pytest.raises(SoundnessError, match="still to symmetrize"):
+            symmetrize(cycle(5), K3FAM)
 
     @pytest.mark.parametrize("mode", ["class", "vertex"])
     def test_trace_monotonicity_random(self, mode):
