@@ -40,12 +40,10 @@ def _guarded(fn):
 
 @click.group()
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for all randomness.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker threads for scans; results merge deterministically.")
 @click.pass_context
-def main(ctx: click.Context, seed: int, jobs: int) -> None:
+def main(ctx: click.Context, seed: int) -> None:
     """Desk-scale extremal hypergraph workbench."""
-    ctx.obj = {"seed": seed, "jobs": max(1, jobs)}
+    ctx.obj = {"seed": seed}
 
 
 def _emit(payload: dict, json_path: Optional[str]) -> None:
@@ -170,18 +168,16 @@ def symmetrize(path: str, family: str, mode: str, trace_path: Optional[str],
               help="Exit with status 4 if any counterexample is found.")
 @click.option("--json", "json_path", default=None)
 @click.option("--csv", "csv_path", default=None, help="Write the counterexample table as CSV.")
-@click.pass_context
 @_guarded
-def scan(ctx: click.Context, family: str, target: str, kind: str, n_range: str, eps: float,
-         delta: float, piref: Optional[float], expect_clean: bool, json_path: Optional[str],
+def scan(family: str, target: str, kind: str, n_range: str, eps: float, delta: float,
+         piref: Optional[float], expect_clean: bool, json_path: Optional[str],
          csv_path: Optional[str]) -> None:
     """Exhaustive stability scan over all family-free graphs in a vertex range."""
     try:
         lo, hi = (int(tok) for tok in n_range.split(".."))
     except ValueError as exc:
         raise FormatError(f"bad --n range {n_range!r}, expected A..B") from exc
-    payload = workbench.op_scan(family, target, kind, lo, hi, eps, delta, piref,
-                                jobs=ctx.obj["jobs"])
+    payload = workbench.op_scan(family, target, kind, lo, hi, eps, delta, piref)
     _emit(payload, json_path)
     if csv_path:
         rows = ["n,min_degree,edges,distance,bound"]

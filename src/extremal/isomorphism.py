@@ -20,7 +20,9 @@ isomorphic children found earlier from the same parent, so the stored
 representatives are exactly those of trying every link (the parent-side half
 of canonical augmentation; McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998).  A predicate flagged ``monotone`` (closed under
-taking subgraphs) prunes both the link search and intermediate levels.
+taking subgraphs) prunes both the link search and intermediate levels, and
+is told which edge was just added, so that it can check only what that edge
+could have created.
 Budgets are deliberate: the module refuses sizes it cannot handle exactly
 rather than degrading silently.
 """
@@ -34,7 +36,7 @@ from math import factorial
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetError
-from .rgraph import RGraph, VertexPartition, equivalence_classes, mask_to_tuple
+from .rgraph import RGraph, VertexPartition, equivalence_classes, mask_of, mask_to_tuple
 
 CANONICAL_MAX_N = 10
 
@@ -187,7 +189,7 @@ def are_isomorphic(a: RGraph, b: RGraph) -> bool:
 def enumerate_rgraphs(
     n: int,
     r: int,
-    predicate: Optional[Callable[[RGraph], bool]] = None,
+    predicate: Optional[Callable[[RGraph, int], bool]] = None,
     *,
     monotone: bool = False,
     max_n: Optional[int] = None,
@@ -202,6 +204,15 @@ def enumerate_rgraphs(
     invariance); this lets intermediate levels and partial links be pruned.
     Without the flag the predicate is applied only to the final level, so the
     whole space is enumerated first.
+
+    The predicate is called as ``predicate(g, new_edge)``.  When ``new_edge``
+    is 0, ``g`` needs a full check: so it is in the final filter without the
+    flag, and for a parent plus an isolated vertex with it.  Otherwise (only
+    with the flag) it is the bitmask of the link edge just added, and ``g``
+    minus that edge has already passed: a child is only built from a graph
+    that passed, by adding one edge (one-step augmentation, as in canonical
+    augmentation).  So the predicate may look only at structures through
+    ``new_edge``, such as ``is_free(g, fam, through=new_edge)``.
     """
     limit = max_n if max_n is not None else ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
     if n > limit:
@@ -213,6 +224,7 @@ def enumerate_rgraphs(
     for k in range(n):
         out: dict[tuple, RGraph] = {}
         pool = [c + (k,) for c in itertools.combinations(range(k), r - 1)]
+        pool_masks = [mask_of(e) for e in pool]
         index = {e: i for i, e in enumerate(pool)}
 
         def register(g: RGraph) -> None:
@@ -235,8 +247,9 @@ def enumerate_rgraphs(
                 start: int, chosen: tuple[tuple[int, ...], ...], picked: tuple[int, ...]
             ) -> None:
                 g = RGraph(r, k + 1, base_edges + chosen)
-                if monotone and predicate is not None and not predicate(g):
-                    return  # no supergraph can satisfy a subgraph-closed predicate
+                if monotone and predicate is not None:
+                    if not predicate(g, pool_masks[picked[-1]] if picked else 0):
+                        return  # no supergraph can satisfy a subgraph-closed predicate
                 if not moves or _first_in_orbit(picked, moves):
                     register(g)
                 for i in range(start, len(pool)):
@@ -245,7 +258,7 @@ def enumerate_rgraphs(
             grow(0, (), ())
         reps = [out[key] for key in sorted(out)]
     if predicate is not None and not monotone:
-        reps = [g for g in reps if predicate(g)]
+        reps = [g for g in reps if predicate(g, 0)]
     return reps
 
 

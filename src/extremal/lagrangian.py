@@ -333,7 +333,9 @@ def max_lagrangian_over_free(
     """Maximize the Lagrangian over family-free patterns on ``p_max`` labeled
     vertices (smaller patterns appear padded with isolated vertices, which do
     not change the value), optionally restricted by ``extra_filter``."""
-    patterns = enumerate_rgraphs(p_max, fam.r, lambda h: is_free(h, fam), monotone=True)
+    patterns = enumerate_rgraphs(
+        p_max, fam.r, lambda h, e: is_free(h, fam, through=e), monotone=True
+    )
     best: Optional[tuple[float, RGraph]] = None
     scanned = 0
     for p in patterns:

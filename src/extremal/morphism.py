@@ -6,13 +6,22 @@ named detector families: generalized triangles (three edges A, B, C with
 the intersection constraint), and weak expansions of a fixed base graph.  The
 named detectors test freeness directly on the host; materializing the family
 as a member list is only done where an independent check demands it.
+
+Embeddings, homomorphisms and weak expansions share one backtracking engine
+(``_maps``) over a plan compiled once per pattern, with one candidate bitmask
+per depth.  For an explicit family, ``is_free(h, fam, through=e)`` searches
+only copies that use the edge ``e``, mapping each member edge onto it in turn.
+That suffices when ``h`` minus ``e`` is known to be free: so it is for every
+child in enumeration by one-step augmentation.  The named detectors always
+scan the whole graph.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetError
 from .isomorphism import canonical_form, enumerate_rgraphs
@@ -81,130 +90,138 @@ def weak_expansions(base: RGraph, vertex_count: Optional[int] = None) -> FamilyS
 
 
 # ---------------------------------------------------------------------------
-# embeddings and homomorphisms
+# the embedding engine
 
 
-def _search_order(f: RGraph) -> list[int]:
-    return sorted(range(f.n), key=lambda v: (-f.degrees[v], v))
+@lru_cache(maxsize=1024)
+def _plan(pattern: RGraph, cover_all: bool, root: int) -> tuple:
+    """``(order, back, checks, rooted)``: depth ``d`` places ``order[d]``, whose
+    image must be covered-adjacent to the images at positions ``back[d]`` (all
+    earlier ones if ``cover_all``, as weak expansions need) and complete the
+    edges ``checks[d]`` (position tuples ending at ``d``).  The first
+    ``rooted`` depths place the edge mask ``root``, then the vertex with the
+    most placed neighbours comes next, ties by degree."""
+    adj, deg = pattern.covered_adj, pattern.degrees
+    order = sorted(mask_to_tuple(root), key=lambda v: (-deg[v], v))
+    rest = set(range(pattern.n)) - set(order)
+    while rest:
+        placed = mask_of(order)
+        order.append(min(rest, key=lambda v: (-(adj[v] & placed).bit_count(), -deg[v], v)))
+        rest.remove(order[-1])
+    pos = {u: d for d, u in enumerate(order)}
+    back = tuple(
+        tuple(p for p in range(d) if cover_all or (adj[u] >> order[p]) & 1)
+        for d, u in enumerate(order)
+    )
+    checks: list[list[tuple[int, ...]]] = [[] for _ in order]
+    if pattern.r != 2:  # for r = 2 the back constraints are the edges themselves
+        for m in pattern.edge_masks:
+            ps = tuple(sorted(pos[v] for v in mask_to_tuple(m)))
+            checks[ps[-1]].append(ps)
+    return tuple(order), back, tuple(map(tuple, checks)), root.bit_count()
 
 
-def contains_subgraph(host: RGraph, pattern: RGraph) -> Optional[dict[int, int]]:
+def _maps(
+    host: RGraph, pattern: RGraph, injective: bool, *, cover_all: bool = False, through: int = 0
+) -> Iterator[dict[int, int]]:
+    """Every map of ``pattern`` into ``host`` that its plan admits; with
+    ``through``, those that map some pattern edge onto it, once per such edge.
+    Each depth's candidates are one bitmask: the AND of the host's
+    ``covered_adj`` over the images of the placed neighbours, less the used
+    vertices if ``injective``, and inside ``through`` on the rooted depths.  A
+    non-injective map still sends each edge to r distinct vertices: host edges
+    have r, covered pairs are distinct."""
+    adj, edges, full = host.covered_adj, host.edge_mask_set, (1 << host.n) - 1
+    for root in pattern.edge_masks if through else (0,):
+        order, back, checks, rooted = _plan(pattern, cover_all, root)
+        k = len(order)
+        if k == 0:
+            yield {}
+            return
+        allowed = [through] * rooted + [full] * (k - rooted)
+        verts, bits, used = [0] * k, [0] * k, [0] * k
+        cands = [allowed[0]] + [0] * (k - 1)
+        d = 0
+        while d >= 0:
+            c = cands[d]
+            if not c:
+                d -= 1
+                continue
+            low = c & -c
+            cands[d] = c ^ low
+            bits[d] = low
+            verts[d] = low.bit_length() - 1
+            # the sum is the OR unless two positions share an image, and then
+            # the carry leaves fewer than r bits, which no host edge has
+            if checks[d] and any(sum([bits[p] for p in t]) not in edges for t in checks[d]):
+                continue
+            if d + 1 == k:
+                yield dict(zip(order, verts))
+                continue
+            d += 1
+            used[d] = used[d - 1] | low
+            c = allowed[d]
+            for p in back[d]:
+                c &= adj[verts[p]]
+            cands[d] = c & ~used[d] if injective else c
+
+
+def _check_through(h: RGraph, through: int) -> None:
+    if through and through not in h.edge_mask_set:
+        raise ValueError("through must be 0 or the mask of an edge of the graph")
+
+
+def contains_subgraph(
+    host: RGraph, pattern: RGraph, *, through: int = 0
+) -> Optional[dict[int, int]]:
     """An injective edge-preserving map from pattern vertices into the host,
-    or None.  Backtracking over pattern vertices in degree-descending order,
-    pruned by degree and by pair coverage."""
+    or None.  With ``through`` (the mask of a host edge) only copies that use
+    that edge are searched: each pattern edge in turn is mapped onto it first."""
     if host.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={host.r}, pattern r={pattern.r}")
+    _check_through(host, through)
     if pattern.n > host.n or len(pattern.edges) > len(host.edges):
         return None
-    order = _search_order(pattern)
-    pat_adj = pattern.covered_adj
-    host_adj = host.covered_adj
-    edge_masks = pattern.edge_masks
-    phi: dict[int, int] = {}
-
-    def extend(idx: int, used: int) -> bool:
-        if idx == len(order):
-            return True
-        u = order[idx]
-        prev = [w for w in order[:idx] if (pat_adj[u] >> w) & 1]
-        for v in range(host.n):
-            if (used >> v) & 1 or host.degrees[v] < pattern.degrees[u]:
-                continue
-            if any(not (host_adj[v] >> phi[w]) & 1 for w in prev):
-                continue
-            phi[u] = v
-            ok = True
-            placed = used | (1 << v)
-            for m in edge_masks:
-                if (m >> u) & 1 and all(((1 << w) & m) == 0 or w in phi for w in mask_to_tuple(m)):
-                    if mask_of(phi[w] for w in mask_to_tuple(m)) not in host.edge_mask_set:
-                        ok = False
-                        break
-            if ok and extend(idx + 1, placed):
-                return True
-            del phi[u]
-        return False
-
-    return dict(phi) if extend(0, 0) else None
+    return next(_maps(host, pattern, True, through=through), None)
 
 
 def has_homomorphism(pattern: RGraph, host: RGraph) -> Optional[dict[int, int]]:
-    """An edge-preserving map pattern -> host (not necessarily injective), or
-    None.  Images of a single edge are automatically injective because host
-    edges have r distinct vertices."""
+    """An edge-preserving map pattern -> host (not necessarily injective), or None."""
     if host.r != pattern.r:
         raise ValueError(f"uniformity mismatch: host r={host.r}, pattern r={pattern.r}")
-    if pattern.edges and not host.edges:
-        return None
-    order = _search_order(pattern)
-    pat_adj = pattern.covered_adj
-    host_adj = host.covered_adj
-    edge_masks = pattern.edge_masks
-    phi: dict[int, int] = {}
-
-    def extend(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        u = order[idx]
-        prev = [w for w in order[:idx] if (pat_adj[u] >> w) & 1]
-        for v in range(host.n):
-            if any(phi[w] == v or not (host_adj[v] >> phi[w]) & 1 for w in prev):
-                continue
-            phi[u] = v
-            ok = True
-            for m in edge_masks:
-                if (m >> u) & 1 and all(w in phi for w in mask_to_tuple(m)):
-                    img = 0
-                    for w in mask_to_tuple(m):
-                        img |= 1 << phi[w]
-                    if img not in host.edge_mask_set:
-                        ok = False
-                        break
-            if ok and extend(idx + 1):
-                return True
-            del phi[u]
-        return False
-
-    if pattern.n > 0 and host.n == 0:
-        return None
-    return dict(phi) if extend(0) else None
+    return next(_maps(host, pattern, False), None)
 
 
 # ---------------------------------------------------------------------------
 # named detectors
 
+_Triple = tuple[tuple[int, ...], ...]
 
-def find_generalized_triangle(h: RGraph) -> Optional[tuple[tuple[int, ...], ...]]:
+
+def _find_triple(h: RGraph, tight: bool) -> Optional[_Triple]:
+    """Edges (A, B, C), B before C, A not in {B, C}, with the symmetric
+    difference of B and C inside A and, if ``tight``, ``|B & C| = r-1``
+    (else ``|B ^ C| <= r``)."""
+    for b, c in itertools.combinations(h.edge_masks, 2):
+        d = b ^ c
+        if ((b & c).bit_count() != h.r - 1) if tight else d.bit_count() > h.r:
+            continue
+        for a in h.edge_masks:
+            if a != b and a != c and a & d == d:
+                return (mask_to_tuple(a), mask_to_tuple(b), mask_to_tuple(c))
+    return None
+
+
+def find_generalized_triangle(h: RGraph) -> Optional[_Triple]:
     """A witnessing edge triple (A, B, C) with ``|B & C| = r-1`` and the
     symmetric difference of B and C inside A, or None."""
-    masks = h.edge_masks
-    r = h.r
-    for j in range(len(masks)):
-        for k in range(j + 1, len(masks)):
-            b, c = masks[j], masks[k]
-            if (b & c).bit_count() != r - 1:
-                continue
-            d = b ^ c
-            for a in masks:
-                if a != b and a != c and a & d == d:
-                    return (mask_to_tuple(a), mask_to_tuple(b), mask_to_tuple(c))
-    return None
+    return _find_triple(h, True)
 
 
-def find_cancellative_violation(h: RGraph) -> Optional[tuple[tuple[int, ...], ...]]:
+def find_cancellative_violation(h: RGraph) -> Optional[_Triple]:
     """Edges (A, B, C) with B != C and the symmetric difference of B and C
     contained in A, or None; None means the graph is cancellative."""
-    masks = h.edge_masks
-    for j in range(len(masks)):
-        for k in range(j + 1, len(masks)):
-            b, c = masks[j], masks[k]
-            d = b ^ c
-            if d.bit_count() > h.r:
-                continue
-            for a in masks:
-                if a != b and a != c and a & d == d:
-                    return (mask_to_tuple(a), mask_to_tuple(b), mask_to_tuple(c))
-    return None
+    return _find_triple(h, False)
 
 
 def uncovered_pairs(f: RGraph) -> tuple[tuple[int, int], ...]:
@@ -236,96 +253,63 @@ def find_weak_expansion(
     """
     if host.r != base.r:
         raise ValueError(f"uniformity mismatch: host r={host.r}, base r={base.r}")
-    pairs = uncovered_pairs(base)
     if base.n > host.n:
         return None
-    order = _search_order(base)
-    base_adj = base.covered_adj
-    unc_adj = [0] * base.n
-    for u, v in pairs:
-        unc_adj[u] |= 1 << v
-        unc_adj[v] |= 1 << u
-    host_adj = host.covered_adj
-    phi: dict[int, int] = {}
+    pairs = uncovered_pairs(base)
 
-    def connectors_for(embedding: dict[int, int]) -> Optional[dict]:
-        chosen: dict[tuple[int, int], tuple[int, ...]] = {}
+    def connectors(phi: dict[int, int]) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
+        # pairs with the fewest covering edges first; without distinct
+        # connectors the first edge of every pair is taken
         options = []
         for u, v in pairs:
-            pm = (1 << embedding[u]) | (1 << embedding[v])
-            cand = [m for m in host.edge_masks if m & pm == pm]
-            if not cand:
-                return None
-            options.append(((u, v), cand))
-        if not distinct_connectors:
-            for pair, cand in options:
-                chosen[pair] = mask_to_tuple(cand[0])
-            return chosen
+            pm = (1 << phi[u]) | (1 << phi[v])
+            options.append(((u, v), [m for m in host.edge_masks if m & pm == pm]))
         options.sort(key=lambda t: len(t[1]))
+        chosen: dict[tuple[int, int], int] = {}
 
-        def assign(i: int, used: frozenset[int]) -> bool:
+        def assign(i: int) -> bool:
             if i == len(options):
                 return True
             pair, cand = options[i]
             for m in cand:
-                if m in used:
-                    continue
-                chosen[pair] = mask_to_tuple(m)
-                if assign(i + 1, used | {m}):
-                    return True
-                del chosen[pair]
+                if not (distinct_connectors and m in chosen.values()):
+                    chosen[pair] = m
+                    if assign(i + 1):
+                        return True
+                    del chosen[pair]
             return False
 
-        return chosen if assign(0, frozenset()) else None
+        return {pair: mask_to_tuple(m) for pair, m in chosen.items()} if assign(0) else None
 
-    def extend(idx: int, used: int) -> Optional[WeakExpansionWitness]:
-        if idx == len(order):
-            conn = connectors_for(phi)
-            if conn is not None:
-                return WeakExpansionWitness(dict(phi), conn)
-            return None
-        u = order[idx]
-        prev_cov = [w for w in order[:idx] if (base_adj[u] >> w) & 1]
-        prev_unc = [w for w in order[:idx] if (unc_adj[u] >> w) & 1]
-        for v in range(host.n):
-            if (used >> v) & 1 or host.degrees[v] < base.degrees[u]:
-                continue
-            if any(not (host_adj[v] >> phi[w]) & 1 for w in prev_cov):
-                continue
-            if any(not (host_adj[v] >> phi[w]) & 1 for w in prev_unc):
-                continue  # uncovered base pairs still need host coverage
-            phi[u] = v
-            ok = True
-            for m in base.edge_masks:
-                if (m >> u) & 1 and all(w in phi for w in mask_to_tuple(m)):
-                    if mask_of(phi[w] for w in mask_to_tuple(m)) not in host.edge_mask_set:
-                        ok = False
-                        break
-            if ok:
-                res = extend(idx + 1, used | (1 << v))
-                if res is not None:
-                    return res
-            del phi[u]
-        return None
-
-    return extend(0, 0)
+    for phi in _maps(host, base, True, cover_all=True):
+        conn = connectors(phi)
+        if conn is not None:
+            return WeakExpansionWitness(phi, conn)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # freeness
 
 
-def is_free(h: RGraph, fam: FamilySpec) -> bool:
-    """True iff no family member embeds into ``h``."""
+def is_free(h: RGraph, fam: FamilySpec, *, through: int = 0) -> bool:
+    """True iff no family member embeds into ``h``.
+
+    ``through`` is 0 or the mask of an edge of ``h`` whose removal leaves a
+    family-free graph; then every copy in ``h`` uses that edge, and for an
+    explicit family only such copies are searched.  The named detectors always
+    get the full check, which is correct whatever ``through`` is.
+    """
     if h.r != fam.r:
         raise ValueError(f"uniformity mismatch: graph r={h.r}, family r={fam.r}")
+    _check_through(h, through)
     if fam.kind == GEN_TRIANGLE:
         return find_generalized_triangle(h) is None
     if fam.kind == CANCELLATIVE:
         return find_cancellative_violation(h) is None
     if fam.kind == WEAK_EXPANSION:
         return find_weak_expansion(h, fam.base) is None
-    return all(contains_subgraph(h, f) is None for f in fam.members)
+    return all(contains_subgraph(h, f, through=through) is None for f in fam.members)
 
 
 def is_hom_free(h: RGraph, fam: FamilySpec) -> bool:
@@ -475,7 +459,9 @@ def check_blowup_invariance(fam: FamilySpec, n_max: int) -> BlowupInvarianceRepo
     members = family_members(fam)
     closed = hom_image_closed(fam) if fam.kind == EXPLICIT else None
     for n in range(1, n_max + 1):
-        for h in enumerate_rgraphs(n, fam.r, lambda g: is_free(g, fam), monotone=True):
+        for h in enumerate_rgraphs(
+            n, fam.r, lambda g, e: is_free(g, fam, through=e), monotone=True
+        ):
             for f in members:
                 phi = has_homomorphism(f, h)
                 if phi is not None:

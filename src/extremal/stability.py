@@ -267,7 +267,9 @@ def _system_patterns(r: int, p_max: int) -> tuple[RGraph, ...]:
     if key not in _PATTERN_CACHE:
         pats: list[RGraph] = [RGraph(r, 1, ())]
         for p in range(r, p_max + 1):
-            for g in enumerate_rgraphs(p, r, lambda x: is_design_system(x, r - 1), monotone=True):
+            for g in enumerate_rgraphs(
+                p, r, lambda x, _: is_design_system(x, r - 1), monotone=True
+            ):
                 if is_two_covered(g):
                     pats.append(g)
         _PATTERN_CACHE[key] = tuple(pats)
@@ -801,8 +803,6 @@ def scan_stability(
     eps: float | Fraction,
     delta: float,
     pi_ref: float | Fraction,
-    *,
-    jobs: int = 1,
 ) -> StabilityVerdict:
     """Exhaustively test a stability statement on all family-free graphs whose
     density or minimum degree clears the (strict) threshold.
@@ -824,26 +824,6 @@ def scan_stability(
     max_distance = 0
     heuristic = False
 
-    def check(args: tuple[int, RGraph]) -> Optional[CounterexampleRecord]:
-        nonlocal max_distance, heuristic
-        n, g = args
-        if kind == "degree":
-            if in_hull(g, spec):
-                return None
-            return CounterexampleRecord(n, g, g.min_degree(), len(g.edges))
-        if kind == "vertex":
-            dist = vertex_deletion_distance(g, spec)
-            bound = delta * n
-        else:
-            dist, exact = edge_deletion_distance(g, spec)
-            if not exact:
-                heuristic = True
-            bound = delta * len(g.edges)
-        max_distance = max(max_distance, dist)
-        if dist > bound:
-            return CounterexampleRecord(n, g, g.min_degree(), len(g.edges), dist, bound)
-        return None
-
     qualifying: list[tuple[int, RGraph]] = []
     for n in range(lo, hi + 1):
         if kind == "degree":
@@ -856,20 +836,29 @@ def scan_stability(
                 qualifying.append((n, g))
     scanned = len(qualifying)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(check, qualifying))
-    else:
-        results = [check(q) for q in qualifying]
-    for rec in results:
-        if rec is not None:
-            if not is_free(rec.graph, fam):
-                raise SoundnessError(
-                    f"scan candidate is not {fam.label}-free on re-verification: {rec.graph!r}"
-                )
-            counterexamples.append(rec)
+    for n, g in qualifying:
+        if kind == "degree":
+            if in_hull(g, spec):
+                continue
+            rec = CounterexampleRecord(n, g, g.min_degree(), len(g.edges))
+        else:
+            if kind == "vertex":
+                dist = vertex_deletion_distance(g, spec)
+                bound = delta * n
+            else:
+                dist, exact = edge_deletion_distance(g, spec)
+                if not exact:
+                    heuristic = True
+                bound = delta * len(g.edges)
+            max_distance = max(max_distance, dist)
+            if dist <= bound:
+                continue
+            rec = CounterexampleRecord(n, g, g.min_degree(), len(g.edges), dist, bound)
+        if not is_free(rec.graph, fam):
+            raise SoundnessError(
+                f"scan candidate is not {fam.label}-free on re-verification: {rec.graph!r}"
+            )
+        counterexamples.append(rec)
 
     return StabilityVerdict(
         fam,

@@ -190,7 +190,7 @@ def free_representatives(n: int, fam: FamilySpec) -> tuple[RGraph, ...]:
     """Isomorph-free list of all family-free graphs on exactly n vertices (cached)."""
     key = (fam, n)
     if key not in _FREE_REPS:
-        reps = enumerate_rgraphs(n, fam.r, lambda g: is_free(g, fam), monotone=True)
+        reps = enumerate_rgraphs(n, fam.r, lambda g, e: is_free(g, fam, through=e), monotone=True)
         _FREE_REPS[key] = tuple(reps)
     return _FREE_REPS[key]
 

@@ -217,7 +217,6 @@ def op_scan(
     eps: float,
     delta: float,
     pi_ref: Optional[float],
-    jobs: int = 1,
 ) -> dict:
     fam = parse_family(family)
     spec = parse_class(target)
@@ -228,7 +227,7 @@ def op_scan(
         pi_val: float | Fraction = preset
     else:
         pi_val = pi_ref
-    verdict = scan_stability(fam, spec, kind, (n_lo, n_hi), eps, delta, float(pi_val), jobs=jobs)
+    verdict = scan_stability(fam, spec, kind, (n_lo, n_hi), eps, delta, float(pi_val))
     return {
         "command": "scan",
         "family": family,
@@ -294,7 +293,7 @@ def op_extendable(path: str, v: int, target: str, zeta: float, pi_ref: float) ->
 def op_enum(n: int, r: int, family: Optional[str]) -> dict:
     if family is not None:
         fam = parse_family(family)
-        reps = enumerate_rgraphs(n, r, lambda g: is_free(g, fam), monotone=True)
+        reps = enumerate_rgraphs(n, r, lambda g, e: is_free(g, fam, through=e), monotone=True)
     else:
         reps = enumerate_rgraphs(n, r)
     return {

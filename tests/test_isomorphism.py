@@ -13,7 +13,7 @@ from extremal.isomorphism import (
     enumerate_rgraphs,
     relabel,
 )
-from extremal.morphism import generalized_triangles, is_free, single_graph
+from extremal.morphism import cancellative_family, generalized_triangles, is_free, single_graph
 from extremal.rgraph import RGraph, mask_of
 
 from conftest import cycle, random_rgraph
@@ -110,7 +110,7 @@ def test_budget():
 def test_triangle_free_enumeration_counts():
     k3 = single_graph(cons.complete_graph(3))
     counts = [
-        len(enumerate_rgraphs(n, 2, lambda g: is_free(g, k3), monotone=True))
+        len(enumerate_rgraphs(n, 2, lambda g, e: is_free(g, k3, through=e), monotone=True))
         for n in range(1, 8)
     ]
     assert counts == [1, 2, 3, 7, 14, 38, 107]
@@ -137,7 +137,8 @@ def test_enumeration_deterministic():
 def dedupe_enumerate(n, r, predicate=None, *, monotone=False):
     """The enumerator as it was before orbit pruning: every admissible link
     of every parent, deduplicated by canonical form.  Kept as the oracle for
-    the pruned enumerator."""
+    the pruned enumerator; its predicate takes only the graph, so monotone
+    pruning here always checks the whole graph."""
     reps = [RGraph(r, 0, ())]
     for k in range(n):
         out = {}
@@ -162,6 +163,7 @@ def dedupe_enumerate(n, r, predicate=None, *, monotone=False):
 K3 = single_graph(cons.complete_graph(3))
 K4 = single_graph(cons.complete_graph(4))
 SIGMA3 = generalized_triangles(3)
+CANCELLATIVE3 = cancellative_family(3)
 
 DIFFERENTIAL_CASES = (
     [(n, 2, None, False) for n in range(1, 7)]
@@ -169,14 +171,17 @@ DIFFERENTIAL_CASES = (
     + [(n, 2, K3, True) for n in range(1, 8)]
     + [(n, 2, K4, True) for n in range(1, 7)]
     + [(n, 3, SIGMA3, True) for n in range(1, 6)]
+    + [(n, 3, CANCELLATIVE3, True) for n in range(1, 6)]
 )
 
 
 @pytest.mark.parametrize("n,r,fam,monotone", DIFFERENTIAL_CASES)
 def test_orbit_pruning_keeps_representatives(n, r, fam, monotone):
-    pred = None if fam is None else (lambda g: is_free(g, fam))
-    new = enumerate_rgraphs(n, r, pred, monotone=monotone)
-    old = dedupe_enumerate(n, r, pred, monotone=monotone)
+    # the pruned enumerator checks freeness only through the added edge
+    rooted = None if fam is None else (lambda g, e: is_free(g, fam, through=e))
+    full = None if fam is None else (lambda g: is_free(g, fam))
+    new = enumerate_rgraphs(n, r, rooted, monotone=monotone)
+    old = dedupe_enumerate(n, r, full, monotone=monotone)
     assert [g.edges for g in new] == [g.edges for g in old]
 
 
@@ -185,7 +190,8 @@ def test_orbit_pruning_keeps_representatives_without_monotone():
         return min(g.degrees) > 0
 
     for n, r in [(6, 2), (5, 3)]:
-        new = enumerate_rgraphs(n, r, no_isolated)
+        # without the flag the final filter gets 0 for the added edge: a full check
+        new = enumerate_rgraphs(n, r, lambda g, e: e == 0 and no_isolated(g))
         old = dedupe_enumerate(n, r, no_isolated)
         assert [g.edges for g in new] == [g.edges for g in old]
 

@@ -6,6 +6,7 @@ import pytest
 from extremal import constructions as cons
 from extremal.isomorphism import enumerate_rgraphs
 from extremal.morphism import (
+    WeakExpansionWitness,
     cancellative_family,
     check_blowup_invariance,
     contains_subgraph,
@@ -22,9 +23,9 @@ from extremal.morphism import (
     uncovered_pairs,
     weak_expansions,
 )
-from extremal.rgraph import RGraph, blowup
+from extremal.rgraph import RGraph, blowup, mask_of, mask_to_tuple
 
-from conftest import cycle, random_free_rgraph, random_rgraph
+from conftest import cycle, path, random_free_rgraph, random_rgraph
 
 T3 = RGraph(3, 5, ((0, 1, 2), (0, 1, 3), (2, 3, 4)))
 K3 = cons.complete_graph(3)
@@ -99,7 +100,7 @@ class TestDetectors:
         # hunt a 4-graph telling the two detectors apart, by enumeration
         found = None
         for g in enumerate_rgraphs(
-            6, 4, lambda h: find_generalized_triangle(h) is None, monotone=True
+            6, 4, lambda h, _: find_generalized_triangle(h) is None, monotone=True
         ):
             if find_cancellative_violation(g) is not None:
                 found = g
@@ -225,7 +226,7 @@ class TestBlowupInvariance:
     @pytest.mark.parametrize("fam_name", ["k3", "sigma3"])
     def test_blowups_of_free_patterns_stay_free(self, fam_name):
         fam = single_graph(K3) if fam_name == "k3" else generalized_triangles(3)
-        patterns = enumerate_rgraphs(4, fam.r, lambda g: is_free(g, fam), monotone=True)
+        patterns = enumerate_rgraphs(4, fam.r, lambda g, _: is_free(g, fam), monotone=True)
         for pat in patterns:
             for sizes in itertools.product(range(1, 4), repeat=pat.n):
                 if sum(sizes) > 8:
@@ -241,3 +242,290 @@ class TestRandomFreeGenerator:
             for _ in range(10):
                 g = random_free_rgraph(rng, 6, fam)
                 assert is_free(g, fam)
+
+
+# ---------------------------------------------------------------------------
+# differential oracles: the three searches as they were before the shared
+# engine, kept verbatim apart from their names and return annotations
+
+
+def _search_order(f: RGraph) -> list[int]:
+    return sorted(range(f.n), key=lambda v: (-f.degrees[v], v))
+
+
+def oracle_contains_subgraph(host: RGraph, pattern: RGraph):
+    if host.r != pattern.r:
+        raise ValueError(f"uniformity mismatch: host r={host.r}, pattern r={pattern.r}")
+    if pattern.n > host.n or len(pattern.edges) > len(host.edges):
+        return None
+    order = _search_order(pattern)
+    pat_adj = pattern.covered_adj
+    host_adj = host.covered_adj
+    edge_masks = pattern.edge_masks
+    phi: dict[int, int] = {}
+
+    def extend(idx: int, used: int) -> bool:
+        if idx == len(order):
+            return True
+        u = order[idx]
+        prev = [w for w in order[:idx] if (pat_adj[u] >> w) & 1]
+        for v in range(host.n):
+            if (used >> v) & 1 or host.degrees[v] < pattern.degrees[u]:
+                continue
+            if any(not (host_adj[v] >> phi[w]) & 1 for w in prev):
+                continue
+            phi[u] = v
+            ok = True
+            placed = used | (1 << v)
+            for m in edge_masks:
+                if (m >> u) & 1 and all(((1 << w) & m) == 0 or w in phi for w in mask_to_tuple(m)):
+                    if mask_of(phi[w] for w in mask_to_tuple(m)) not in host.edge_mask_set:
+                        ok = False
+                        break
+            if ok and extend(idx + 1, placed):
+                return True
+            del phi[u]
+        return False
+
+    return dict(phi) if extend(0, 0) else None
+
+
+def oracle_has_homomorphism(pattern: RGraph, host: RGraph):
+    if host.r != pattern.r:
+        raise ValueError(f"uniformity mismatch: host r={host.r}, pattern r={pattern.r}")
+    if pattern.edges and not host.edges:
+        return None
+    order = _search_order(pattern)
+    pat_adj = pattern.covered_adj
+    host_adj = host.covered_adj
+    edge_masks = pattern.edge_masks
+    phi: dict[int, int] = {}
+
+    def extend(idx: int) -> bool:
+        if idx == len(order):
+            return True
+        u = order[idx]
+        prev = [w for w in order[:idx] if (pat_adj[u] >> w) & 1]
+        for v in range(host.n):
+            if any(phi[w] == v or not (host_adj[v] >> phi[w]) & 1 for w in prev):
+                continue
+            phi[u] = v
+            ok = True
+            for m in edge_masks:
+                if (m >> u) & 1 and all(w in phi for w in mask_to_tuple(m)):
+                    img = 0
+                    for w in mask_to_tuple(m):
+                        img |= 1 << phi[w]
+                    if img not in host.edge_mask_set:
+                        ok = False
+                        break
+            if ok and extend(idx + 1):
+                return True
+            del phi[u]
+        return False
+
+    if pattern.n > 0 and host.n == 0:
+        return None
+    return dict(phi) if extend(0) else None
+
+
+def oracle_find_weak_expansion(host: RGraph, base: RGraph, *, distinct_connectors: bool = False):
+    if host.r != base.r:
+        raise ValueError(f"uniformity mismatch: host r={host.r}, base r={base.r}")
+    pairs = uncovered_pairs(base)
+    if base.n > host.n:
+        return None
+    order = _search_order(base)
+    base_adj = base.covered_adj
+    unc_adj = [0] * base.n
+    for u, v in pairs:
+        unc_adj[u] |= 1 << v
+        unc_adj[v] |= 1 << u
+    host_adj = host.covered_adj
+    phi: dict[int, int] = {}
+
+    def connectors_for(embedding: dict[int, int]):
+        chosen: dict[tuple[int, int], tuple[int, ...]] = {}
+        options = []
+        for u, v in pairs:
+            pm = (1 << embedding[u]) | (1 << embedding[v])
+            cand = [m for m in host.edge_masks if m & pm == pm]
+            if not cand:
+                return None
+            options.append(((u, v), cand))
+        if not distinct_connectors:
+            for pair, cand in options:
+                chosen[pair] = mask_to_tuple(cand[0])
+            return chosen
+        options.sort(key=lambda t: len(t[1]))
+
+        def assign(i: int, used: frozenset[int]) -> bool:
+            if i == len(options):
+                return True
+            pair, cand = options[i]
+            for m in cand:
+                if m in used:
+                    continue
+                chosen[pair] = mask_to_tuple(m)
+                if assign(i + 1, used | {m}):
+                    return True
+                del chosen[pair]
+            return False
+
+        return chosen if assign(0, frozenset()) else None
+
+    def extend(idx: int, used: int):
+        if idx == len(order):
+            conn = connectors_for(phi)
+            if conn is not None:
+                return WeakExpansionWitness(dict(phi), conn)
+            return None
+        u = order[idx]
+        prev_cov = [w for w in order[:idx] if (base_adj[u] >> w) & 1]
+        prev_unc = [w for w in order[:idx] if (unc_adj[u] >> w) & 1]
+        for v in range(host.n):
+            if (used >> v) & 1 or host.degrees[v] < base.degrees[u]:
+                continue
+            if any(not (host_adj[v] >> phi[w]) & 1 for w in prev_cov):
+                continue
+            if any(not (host_adj[v] >> phi[w]) & 1 for w in prev_unc):
+                continue  # uncovered base pairs still need host coverage
+            phi[u] = v
+            ok = True
+            for m in base.edge_masks:
+                if (m >> u) & 1 and all(w in phi for w in mask_to_tuple(m)):
+                    if mask_of(phi[w] for w in mask_to_tuple(m)) not in host.edge_mask_set:
+                        ok = False
+                        break
+            if ok:
+                res = extend(idx + 1, used | (1 << v))
+                if res is not None:
+                    return res
+            del phi[u]
+        return None
+
+    return extend(0, 0)
+
+
+def assert_maps_edges(phi, pattern: RGraph, host: RGraph, injective: bool) -> None:
+    assert sorted(phi) == list(range(pattern.n))
+    assert all(0 <= v < host.n for v in phi.values())
+    if injective:
+        assert len(set(phi.values())) == pattern.n
+    for e in pattern.edges:
+        assert host.has_edge(phi[v] for v in e)
+
+
+def assert_weak_expansion(out, base: RGraph, host: RGraph, distinct: bool) -> None:
+    assert_maps_edges(out.embedding, base, host, injective=True)
+    pairs = uncovered_pairs(base)
+    assert sorted(out.connectors) == list(pairs)
+    for (u, v), e in out.connectors.items():
+        assert host.has_edge(e) and {out.embedding[u], out.embedding[v]} <= set(e)
+    if distinct:
+        assert len(set(out.connectors.values())) == len(pairs)
+
+
+K4_3_MINUS = RGraph(3, 4, ((0, 1, 2), (0, 1, 3), (0, 2, 3)))
+ENGINE_CASES = {
+    # uniformity: (patterns to embed, targets to map hosts into, weak-expansion bases)
+    2: (
+        (K3, cons.complete_graph(4), cycle(4), cycle(5), path(3)),
+        (K3, cycle(5)),
+        (path(3), RGraph(2, 3, ())),
+    ),
+    3: (
+        (K4_3_MINUS, RGraph(3, 4, ((0, 1, 2), (1, 2, 3)))),
+        (K4_3_MINUS,),
+        (RGraph(3, 4, ((0, 1, 2),)), K4_3_MINUS),
+    ),
+}
+
+
+def _engine_against_oracles(hosts, r) -> None:
+    patterns, targets, bases = ENGINE_CASES[r]
+    for host in hosts:
+        for f in patterns:
+            phi = contains_subgraph(host, f)
+            assert (phi is None) == (oracle_contains_subgraph(host, f) is None)
+            if phi is not None:
+                assert_maps_edges(phi, f, host, injective=True)
+            phi = has_homomorphism(f, host)
+            assert (phi is None) == (oracle_has_homomorphism(f, host) is None)
+            if phi is not None:
+                assert_maps_edges(phi, f, host, injective=False)
+        for t in targets:
+            phi = has_homomorphism(host, t)
+            assert (phi is None) == (oracle_has_homomorphism(host, t) is None)
+            if phi is not None:
+                assert_maps_edges(phi, host, t, injective=False)
+        for base in bases:
+            for distinct in (False, True):
+                out = find_weak_expansion(host, base, distinct_connectors=distinct)
+                old = oracle_find_weak_expansion(host, base, distinct_connectors=distinct)
+                assert (out is None) == (old is None)
+                if out is not None:
+                    assert_weak_expansion(out, base, host, distinct)
+
+
+def test_engine_matches_oracles_on_all_graphs(all_graphs_upto_7):
+    _engine_against_oracles([g for n in all_graphs_upto_7 for g in all_graphs_upto_7[n]], 2)
+
+
+def test_engine_matches_oracles_on_all_3graphs(all_3graphs_upto_6):
+    _engine_against_oracles([g for n in all_3graphs_upto_6 for g in all_3graphs_upto_6[n]], 3)
+
+
+def test_engine_on_random_larger_hosts():
+    # hosts past the enumerable range, where the candidate masks do the work
+    rng = random.Random(11)
+    for _ in range(40):
+        host = random_rgraph(rng, rng.randint(8, 11), 2, rng.choice([0.3, 0.5]))
+        for f in ENGINE_CASES[2][0]:
+            assert (contains_subgraph(host, f) is None) == (
+                oracle_contains_subgraph(host, f) is None
+            )
+
+
+# Every family-free graph on exactly n vertices: with isolated vertices these
+# are also all the smaller free graphs, as no member below has an isolated
+# vertex.  K4 minus an edge, the path P4 and the tight path on five vertices
+# have more than one edge orbit, so the rooted search must try several roots.
+ROOTED_FAMILIES = {
+    "k3": (single_graph(K3), 7),
+    "k4": (single_graph(cons.complete_graph(4)), 7),
+    "sigma3": (generalized_triangles(3), 7),
+    "cancellative3": (cancellative_family(3), 7),
+    "k4-minus-edge": (single_graph(RGraph(2, 4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))), 7),
+    "p4": (single_graph(path(4)), 7),
+    "tight-path3": (single_graph(RGraph(3, 5, ((0, 1, 2), (1, 2, 3), (2, 3, 4)))), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOTED_FAMILIES))
+def test_rooted_freeness_matches_full(name):
+    fam, n = ROOTED_FAMILIES[name]
+    r = fam.r
+    checked = 0
+    for g in enumerate_rgraphs(n, r, lambda h, _: is_free(h, fam), monotone=True):
+        for e in itertools.combinations(range(n), r):
+            if g.has_edge(e):
+                continue
+            h = RGraph(r, n, g.edges + (e,))
+            assert is_free(h, fam, through=mask_of(e)) == is_free(h, fam)
+            checked += 1
+    assert checked > 0
+
+
+def test_rooted_search_only_finds_copies_through_the_edge():
+    host = cons.complete_graph(5)
+    assert contains_subgraph(host, K3, through=mask_of((0, 1))) is not None
+    phi = contains_subgraph(host, K3, through=mask_of((3, 4)))
+    assert {3, 4} <= set(phi.values())
+    with pytest.raises(ValueError):
+        contains_subgraph(cycle(5), K3, through=mask_of((0, 2)))
+    # every family kind rejects a ``through`` that is not an edge
+    with pytest.raises(ValueError):
+        is_free(T3, generalized_triangles(3), through=mask_of((0, 1, 4)))
+    with pytest.raises(ValueError):
+        is_free(cycle(5), weak_expansions(path(3)), through=mask_of((0, 2)))
