@@ -8,14 +8,31 @@ minimal prefix; vertices with identical links are interchangeable and only
 one representative per class is branched on, which keeps the frontier small
 even for highly symmetric graphs.
 
-The final beam of that search holds one minimal labeling per coset of the
+Enumeration only has to tell classes apart, so it uses a second, cheaper
+certificate.  Colour refinement (``_refine``) splits the vertices into an
+ordered partition that every isomorphism preserves, and the certificate is
+the minimal edge list over the relabelings that place the cells in colour
+order (the idea behind McKay and Piperno, "Practical graph isomorphism II",
+2014).  Both come from one search routine, ``_search(h, colour)``, whose
+level ``k`` branches only on the vertices of the ``k``-th smallest colour;
+the canonical form is that search with every vertex coloured alike.
+Isomorphic graphs get equal certificates because the partition is
+invariant, and graphs with equal certificates are isomorphic because both
+are relabelings of one edge list.  Twins share a colour, since swapping them
+is an automorphism, so the twin pruning stays valid under any such colouring.
+
+The final beam of either search holds one minimal labeling per coset of the
 twin-class permutations, so it also yields generators of the automorphism
 group (``automorphism_generators``).
 
 Enumeration grows graphs one vertex at a time and deduplicates children by
-canonical form.  The links of the new vertex are walked in a fixed preorder,
-and a child gets a canonical form only when its link is the first of its
-orbit under the parent's automorphisms: the rest of the orbit gives
+certificate, keeping the first child of each class; each level is then
+sorted by canonical form, computed once per class.  That is the child and
+the order that deduplicating by canonical form would keep, so the stored
+representatives are unchanged.  The links of the new vertex are walked in a
+fixed preorder, and a child is registered only when its link is the first of
+its orbit under the parent's automorphisms, whose generators come from the
+beam kept when the parent was registered: the rest of the orbit gives
 isomorphic children found earlier from the same parent, so the stored
 representatives are exactly those of trying every link (the parent-side half
 of canonical augmentation; McKay, "Isomorph-free exhaustive generation",
@@ -70,10 +87,38 @@ class CanonicalForm:
 _SENTINEL = 1 << 63
 
 
-def _search(h: RGraph) -> tuple[list[int], list[tuple[int, ...]], VertexPartition]:
-    """The minimal edge-mask list of ``h``, the final beam of labelings that
-    attain it (each lists the old vertices in new-label order, choosing only
-    the least unassigned vertex of each twin class), and the twin classes."""
+def _refine(h: RGraph) -> list[int]:
+    """Colour refinement from degrees: an ordered partition of the vertices,
+    as a colour per vertex, that every isomorphism preserves.
+
+    A vertex's signature is its colour and the sorted multiset of the sorted
+    colour tuples of its co-members in each edge through it; the new colours
+    are the ranks of the distinct signatures.  Each round refines the last,
+    since a signature starts with the old colour, so the rounds stop when the
+    number of colours stops growing."""
+    colour = list(h.degrees)
+    count = len(set(colour))
+    while True:
+        around: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
+        for e in h.edges:
+            for v in e:
+                around[v].append(tuple(sorted([colour[u] for u in e if u != v])))
+        sigs = [(colour[v], tuple(sorted(around[v]))) for v in range(h.n)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colour = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return colour
+        count = len(rank)
+
+
+def _search(
+    h: RGraph, colour: list[int]
+) -> tuple[list[int], list[tuple[int, ...]], VertexPartition]:
+    """The minimal edge-mask list of ``h`` over the relabelings that give new
+    label ``k`` to a vertex of colour ``sorted(colour)[k]``, the final beam of
+    labelings that attain it (each lists the old vertices in new-label order,
+    choosing only the least unassigned vertex of each twin class), and the
+    twin classes.  Twins must share a colour."""
     if h.n > CANONICAL_MAX_N:
         raise BudgetError(f"canonical_form supports n <= {CANONICAL_MAX_N}, got {h.n}")
     n = h.n
@@ -86,12 +131,16 @@ def _search(h: RGraph) -> tuple[list[int], list[tuple[int, ...]], VertexPartitio
             low = rest & -rest
             edges_at[low.bit_length() - 1].append(m)
             rest ^= low
+    cells: dict[int, list[int]] = {}
+    for u, c in enumerate(colour):
+        cells.setdefault(c, []).append(u)
 
     # beam: partial relabelings as (old vertices in new-label order, assigned
     # mask); all entries share the same (minimal) completed-edge prefix.
     beam: list[tuple[tuple[int, ...], int]] = [((), 0)]
     prefix: list[int] = []
-    for k in range(n):
+    for k, c in enumerate(sorted(colour)):
+        cell = cells[c]
         best_batch: Optional[tuple[int, ...]] = None
         kept: list[tuple[tuple[int, ...], int]] = []
         for pos, assigned in beam:
@@ -99,7 +148,7 @@ def _search(h: RGraph) -> tuple[list[int], list[tuple[int, ...]], VertexPartitio
             for idx, old in enumerate(pos):
                 pos_arr[old] = idx
             seen_classes = 0
-            for u in range(n):
+            for u in cell:
                 if (assigned >> u) & 1:
                     continue
                 cu = class_of[u]
@@ -133,7 +182,7 @@ def _search(h: RGraph) -> tuple[list[int], list[tuple[int, ...]], VertexPartitio
 
 @lru_cache(maxsize=1 << 17)
 def canonical_form(h: RGraph) -> CanonicalForm:
-    prefix, beam, eq = _search(h)
+    prefix, beam, eq = _search(h, [0] * h.n)
     aut = len(beam)
     for c in eq.classes:
         aut *= factorial(len(c))
@@ -151,17 +200,23 @@ def automorphism_generators(h: RGraph) -> list[tuple[int, ...]]:
     the maps from the first labeling to each other one, together with the
     transpositions of consecutive twins, generate the group.  None of them is
     the identity, so the list is empty exactly when the group is trivial.
+    The search is the refined one: automorphisms preserve the refined
+    colouring, so its beam is as good and usually much narrower.
     """
-    _, beam, eq = _search(h)
+    _, beam, eq = _search(h, _refine(h))
+    return _generators(h.n, beam, eq)
+
+
+def _generators(n: int, beam: list[tuple[int, ...]], eq: VertexPartition) -> list[tuple[int, ...]]:
     gens = []
     for other in beam[1:]:
-        p = [0] * h.n
+        p = [0] * n
         for a, b in zip(beam[0], other):
             p[a] = b
         gens.append(tuple(p))
     for c in eq.classes:
         for a, b in zip(c, c[1:]):
-            p = list(range(h.n))
+            p = list(range(n))
             p[a], p[b] = b, a
             gens.append(tuple(p))
     return gens
@@ -197,6 +252,12 @@ def enumerate_rgraphs(
     """One representative per isomorphism class of r-graphs on exactly ``n``
     labeled vertices (isolated vertices included) satisfying ``predicate``.
 
+    Children are told apart by the refined certificate, and the first child
+    found in each class is kept; each level is then sorted by canonical form,
+    computed once per class.  Any exact certificate keeps the same first
+    child, and the sort gives the order of deduplicating by canonical form,
+    so the representatives and their order do not depend on the certificate.
+
     The predicate must not depend on vertex labels: links of the new vertex
     are tried only once per automorphism orbit of the parent, which relies on
     isomorphic children getting the same verdict.  ``monotone=True`` asserts
@@ -220,26 +281,30 @@ def enumerate_rgraphs(
     if n > CANONICAL_MAX_N:
         raise BudgetError(f"enumeration needs canonical forms, capped at n <= {CANONICAL_MAX_N}")
 
-    reps: list[RGraph] = [RGraph(r, 0, ())]
+    # each class as (representative, final beam and twin classes of its
+    # certificate search), the latter kept for the class's automorphisms
+    empty = RGraph(r, 0, ())
+    reps = [(empty, [()], equivalence_classes(empty))]
     for k in range(n):
-        out: dict[tuple, RGraph] = {}
+        out: dict[tuple[int, ...], tuple[RGraph, list[tuple[int, ...]], VertexPartition]] = {}
         pool = [c + (k,) for c in itertools.combinations(range(k), r - 1)]
         pool_masks = [mask_of(e) for e in pool]
         index = {e: i for i, e in enumerate(pool)}
 
         def register(g: RGraph) -> None:
-            key = canonical_form(g).key
+            prefix, beam, eq = _search(g, _refine(g))
+            key = tuple(prefix)
             if key not in out:
-                out[key] = g
+                out[key] = (g, beam, eq)
 
-        for base in reps:
+        for base, base_beam, base_eq in reps:
             base_edges = base.edges
             # Aut(base) acting on link edges; a child whose link is not the
             # first of its orbit in the preorder below is isomorphic to an
             # earlier child of this parent, so it cannot be the stored one.
             moves = []
             if len(pool) > 1:
-                for p in automorphism_generators(base):
+                for p in _generators(k, base_beam, base_eq):
                     images = (tuple(sorted(p[v] for v in e[:-1])) + (k,) for e in pool)
                     moves.append(tuple(index[e] for e in images))
 
@@ -256,10 +321,11 @@ def enumerate_rgraphs(
                     grow(i + 1, chosen + (pool[i],), picked + (i,))
 
             grow(0, (), ())
-        reps = [out[key] for key in sorted(out)]
+        reps = sorted(out.values(), key=lambda c: canonical_form(c[0]).key)
+    graphs = [g for g, _, _ in reps]
     if predicate is not None and not monotone:
-        reps = [g for g in reps if predicate(g, 0)]
-    return reps
+        graphs = [g for g in graphs if predicate(g, 0)]
+    return graphs
 
 
 def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]]) -> bool:

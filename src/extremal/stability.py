@@ -617,13 +617,13 @@ class NearTuranReport:
 
 
 def _elementary_symmetric(vals: list[int], k: int) -> int:
-    out = 0
-    for combo in itertools.combinations(vals, k):
-        term = 1
-        for v in combo:
-            term *= v
-        out += term
-    return out
+    """The k-th elementary symmetric polynomial of ``vals``, by the recurrence
+    e_j(x_1..x_i) = e_j(x_1..x_{i-1}) + x_i * e_{j-1}(x_1..x_{i-1})."""
+    e = [1] + [0] * k
+    for x in vals:
+        for j in range(k, 0, -1):
+            e[j] += x * e[j - 1]
+    return e[k]
 
 
 def near_turan_check(h: RGraph, partition: VertexPartition, m: int, zeta: float) -> NearTuranReport:

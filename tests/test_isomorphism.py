@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from extremal import constructions as cons
 from extremal.errors import BudgetError
 from extremal.isomorphism import (
+    _refine,
+    _search,
     are_isomorphic,
     automorphism_generators,
     canonical_form,
@@ -172,6 +175,7 @@ DIFFERENTIAL_CASES = (
     + [(n, 2, K4, True) for n in range(1, 7)]
     + [(n, 3, SIGMA3, True) for n in range(1, 6)]
     + [(n, 3, CANCELLATIVE3, True) for n in range(1, 6)]
+    + [(8, 2, K3, True)]  # the size the turan workload's K3 sweep reaches
 )
 
 
@@ -209,3 +213,44 @@ def test_trivial_group_has_no_generators():
     rigid = RGraph(2, 6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)))
     assert canonical_form(rigid).automorphisms == 1
     assert automorphism_generators(rigid) == []
+
+
+def refined(h):
+    """The certificate search: the edge masks, beam and twin classes."""
+    return _search(h, _refine(h))
+
+
+def test_certificate_separates_exactly_the_classes(all_graphs_upto_7, all_3graphs_upto_6):
+    for fixture in (all_graphs_upto_7, all_3graphs_upto_6):
+        for graphs in fixture.values():
+            key_of = {}
+            for g in graphs:
+                key = canonical_form(g).key
+                assert key_of.setdefault(tuple(refined(g)[0]), key) == key
+            # the fixture holds one graph per class, so no two may share a certificate
+            assert len(key_of) == len(graphs)
+
+
+def test_certificate_invariant_under_relabeling():
+    rng = random.Random(29)
+    for _ in range(200):
+        r = rng.choice([2, 3, 4])
+        n = rng.randint(r, 8)
+        h = random_rgraph(rng, n, r, rng.choice([0.3, 0.5, 0.7]))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        moved = relabel(h, perm)
+        colour, moved_colour = _refine(h), _refine(moved)
+        assert all(moved_colour[perm[v]] == colour[v] for v in range(n))
+        assert refined(moved)[0] == refined(h)[0]
+
+
+def test_refined_beam_gives_the_group(all_graphs_upto_7, all_3graphs_upto_6):
+    for fixture in (all_graphs_upto_7, all_3graphs_upto_6):
+        for graphs in fixture.values():
+            for g in graphs:
+                _, beam, eq = refined(g)
+                order = len(beam) * math.prod(math.factorial(len(c)) for c in eq.classes)
+                assert order == canonical_form(g).automorphisms
+                if g.n < 7:  # the closure over the graphs on 7 vertices takes about a minute
+                    assert_generates_automorphisms(g)

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from extremal.stability import (
     FOUND,
     VACUOUS,
     WITNESS_OK,
+    _elementary_symmetric,
     check_vertex_extendable,
     chromatic_number,
     class_membership,
@@ -346,6 +349,16 @@ class TestNearTuran:
         bad = VertexPartition(2, (0, 0, 0, 0, 1, 1))
         with pytest.raises(ValueError):
             near_turan_check(h, bad, 2, 0.1)
+
+    def test_elementary_symmetric_matches_combinations(self):
+        def by_combinations(vals, k):
+            return sum(math.prod(c) for c in itertools.combinations(vals, k))
+
+        rng = random.Random(31)
+        for _ in range(100):
+            vals = [rng.randint(-3, 9) for _ in range(rng.randint(0, 8))]
+            for k in range(len(vals) + 2):
+                assert _elementary_symmetric(vals, k) == by_combinations(vals, k)
 
 
 class TestDistances:
