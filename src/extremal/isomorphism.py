@@ -36,10 +36,10 @@ beam kept when the parent was registered: the rest of the orbit gives
 isomorphic children found earlier from the same parent, so the stored
 representatives are exactly those of trying every link (the parent-side half
 of canonical augmentation; McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).  A predicate flagged ``monotone`` (closed under
-taking subgraphs) prunes both the link search and intermediate levels, and
-is told which edge was just added, so that it can check only what that edge
-could have created.
+J. Algorithms 26, 1998).  The predicate must be hereditary (closed under
+taking subgraphs), so it prunes both the link search and every level, and
+it is told which edge was just added, so that it can check only what that
+edge could have created.
 Budgets are deliberate: the module refuses sizes it cannot handle exactly
 rather than degrading silently.
 """
@@ -242,12 +242,7 @@ def are_isomorphic(a: RGraph, b: RGraph) -> bool:
 
 
 def enumerate_rgraphs(
-    n: int,
-    r: int,
-    predicate: Optional[Callable[[RGraph, int], bool]] = None,
-    *,
-    monotone: bool = False,
-    max_n: Optional[int] = None,
+    n: int, r: int, predicate: Optional[Callable[[RGraph, int], bool]] = None
 ) -> list[RGraph]:
     """One representative per isomorphism class of r-graphs on exactly ``n``
     labeled vertices (isolated vertices included) satisfying ``predicate``.
@@ -258,28 +253,23 @@ def enumerate_rgraphs(
     child, and the sort gives the order of deduplicating by canonical form,
     so the representatives and their order do not depend on the certificate.
 
-    The predicate must not depend on vertex labels: links of the new vertex
-    are tried only once per automorphism orbit of the parent, which relies on
-    isomorphic children getting the same verdict.  ``monotone=True`` asserts
-    the predicate is closed under taking subgraphs (which implies label
-    invariance); this lets intermediate levels and partial links be pruned.
-    Without the flag the predicate is applied only to the final level, so the
-    whole space is enumerated first.
+    The predicate must be hereditary: true of every graph isomorphic to a
+    subgraph of a graph it holds for.  So a graph that fails is pruned with
+    every supergraph the link search and later levels would build from it,
+    and isomorphic children get the same verdict, which trying the links of
+    the new vertex only once per automorphism orbit of the parent relies on.
 
-    The predicate is called as ``predicate(g, new_edge)``.  When ``new_edge``
-    is 0, ``g`` needs a full check: so it is in the final filter without the
-    flag, and for a parent plus an isolated vertex with it.  Otherwise (only
-    with the flag) it is the bitmask of the link edge just added, and ``g``
+    The predicate is called as ``predicate(g, new_edge)``.  ``new_edge`` is 0
+    only for a parent plus an isolated vertex, and then ``g`` needs a full
+    check.  Otherwise it is the bitmask of the link edge just added, and ``g``
     minus that edge has already passed: a child is only built from a graph
     that passed, by adding one edge (one-step augmentation, as in canonical
     augmentation).  So the predicate may look only at structures through
     ``new_edge``, such as ``is_free(g, fam, through=new_edge)``.
     """
-    limit = max_n if max_n is not None else ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
+    limit = ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
     if n > limit:
         raise BudgetError(f"enumeration of {r}-graphs capped at n <= {limit}, got {n}")
-    if n > CANONICAL_MAX_N:
-        raise BudgetError(f"enumeration needs canonical forms, capped at n <= {CANONICAL_MAX_N}")
 
     # each class as (representative, final beam and twin classes of its
     # certificate search), the latter kept for the class's automorphisms
@@ -312,9 +302,10 @@ def enumerate_rgraphs(
                 start: int, chosen: tuple[tuple[int, ...], ...], picked: tuple[int, ...]
             ) -> None:
                 g = RGraph(r, k + 1, base_edges + chosen)
-                if monotone and predicate is not None:
-                    if not predicate(g, pool_masks[picked[-1]] if picked else 0):
-                        return  # no supergraph can satisfy a subgraph-closed predicate
+                if predicate is not None and not predicate(
+                    g, pool_masks[picked[-1]] if picked else 0
+                ):
+                    return  # no supergraph can satisfy a hereditary predicate
                 if not moves or _first_in_orbit(picked, moves):
                     register(g)
                 for i in range(start, len(pool)):
@@ -322,10 +313,7 @@ def enumerate_rgraphs(
 
             grow(0, (), ())
         reps = sorted(out.values(), key=lambda c: canonical_form(c[0]).key)
-    graphs = [g for g, _, _ in reps]
-    if predicate is not None and not monotone:
-        graphs = [g for g in graphs if predicate(g, 0)]
-    return graphs
+    return [g for g, _, _ in reps]
 
 
 def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]]) -> bool:

@@ -24,8 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .isomorphism import enumerate_rgraphs
-from .morphism import FamilySpec, is_free
+from .morphism import FamilySpec, free_representatives
 from .rgraph import RGraph
 
 SIMPLEX_TOL = 1e-12
@@ -72,6 +71,24 @@ def _edge_array(g: RGraph) -> np.ndarray:
     return np.array(g.edges, dtype=np.intp).reshape(len(g.edges), g.r)
 
 
+def _poly(E: np.ndarray, x: np.ndarray) -> float:
+    """The float edge polynomial over an ``(m, r)`` edge array (0.0 for m = 0)."""
+    return float(np.prod(x[E], axis=1).sum())
+
+
+def _poly_grad(E: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Its gradient: each edge adds the product of its other weights to each
+    of its vertices, from prefix and suffix products (no division by zero)."""
+    P = x[E]
+    left = np.ones_like(P)
+    left[:, 1:] = np.cumprod(P[:, :-1], axis=1)
+    right = np.ones_like(P)
+    right[:, :-1] = np.cumprod(P[:, :0:-1], axis=1)[:, ::-1]
+    grad = np.zeros(len(x))
+    np.add.at(grad, E, left * right)
+    return grad
+
+
 def evaluate(g: RGraph, x) -> float | Fraction:
     """The edge polynomial: sum over edges of the product of vertex weights.
 
@@ -80,12 +97,9 @@ def evaluate(g: RGraph, x) -> float | Fraction:
     w = _weights(x)
     if len(w) != g.n:
         raise ValueError(f"need {g.n} weights, got {len(w)}")
-    if not g.edges:
-        return Fraction(0) if _is_exact(w) else 0.0
     if _is_exact(w):
-        return sum(prod(Fraction(w[v]) for v in e) for e in g.edges)
-    arr = np.asarray(w, dtype=float)
-    return float(np.prod(arr[_edge_array(g)], axis=1).sum())
+        return sum((prod(Fraction(w[v]) for v in e) for e in g.edges), Fraction(0))
+    return _poly(_edge_array(g), np.asarray(w, dtype=float))
 
 
 def gradient(g: RGraph, x) -> np.ndarray | tuple:
@@ -100,18 +114,7 @@ def gradient(g: RGraph, x) -> np.ndarray | tuple:
             for i, v in enumerate(e):
                 out[v] += prod(vals[:i] + vals[i + 1 :])
         return tuple(out)
-    arr = np.asarray(w, dtype=float)
-    grad = np.zeros(g.n)
-    if not g.edges:
-        return grad
-    E = _edge_array(g)
-    P = arr[E]
-    left = np.ones_like(P)
-    left[:, 1:] = np.cumprod(P[:, :-1], axis=1)
-    right = np.ones_like(P)
-    right[:, :-1] = np.cumprod(P[:, :0:-1], axis=1)[:, ::-1]
-    np.add.at(grad, E, left * right)
-    return grad
+    return _poly_grad(_edge_array(g), np.asarray(w, dtype=float))
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -188,30 +191,13 @@ def _connected_support(edge_masks: list[int], support: int) -> bool:
 
 
 def _ascent(
-    E: Optional[np.ndarray], k: int, x0: np.ndarray, tol: float, max_iter: int
+    E: np.ndarray, x0: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, float, bool]:
-    def val(x: np.ndarray) -> float:
-        if E is None:
-            return 0.0
-        return float(np.prod(x[E], axis=1).sum())
-
-    def grd(x: np.ndarray) -> np.ndarray:
-        g = np.zeros(k)
-        if E is None:
-            return g
-        P = x[E]
-        left = np.ones_like(P)
-        left[:, 1:] = np.cumprod(P[:, :-1], axis=1)
-        right = np.ones_like(P)
-        right[:, :-1] = np.cumprod(P[:, :0:-1], axis=1)[:, ::-1]
-        np.add.at(g, E, left * right)
-        return g
-
     x = x0.copy()
-    fx = val(x)
+    fx = _poly(E, x)
     converged = False
     for _ in range(max_iter):
-        g = grd(x)
+        g = _poly_grad(E, x)
         free = x > 1e-14
         mu = g[free].mean() if free.any() else 0.0
         resid = np.where(free, g - mu, np.maximum(g - mu, 0.0))
@@ -222,7 +208,7 @@ def _ascent(
         moved = False
         while t > 1e-16:
             xn = project_to_simplex(x + t * g)
-            fn = val(xn)
+            fn = _poly(E, xn)
             if fn > fx and fn >= fx + 1e-4 * float(g @ (xn - x)):
                 x, fx = xn, fn
                 moved = True
@@ -284,7 +270,7 @@ def maximize(
                 dtype=np.intp,
             )
             x0 = np.full(k, 1.0 / k)
-            x, fx, conv = _ascent(E, k, x0, tol, max_iter)
+            x, fx, conv = _ascent(E, x0, tol, max_iter)
             all_converged = all_converged and conv
             if fx > best_val:
                 full = np.zeros(m)
@@ -294,10 +280,10 @@ def maximize(
     else:
         method = "multistart-ascent"
         rng = np.random.default_rng(seed)
-        E = _edge_array(g) if g.edges else None
+        E = _edge_array(g)
         for _ in range(restarts):
             x0 = rng.dirichlet(np.ones(m))
-            x, fx, conv = _ascent(E, m, x0, tol, max_iter)
+            x, fx, conv = _ascent(E, x0, tol, max_iter)
             all_converged = all_converged and conv
             if fx > best_val:
                 best_val, best_x = fx, x
@@ -333,9 +319,7 @@ def max_lagrangian_over_free(
     """Maximize the Lagrangian over family-free patterns on ``p_max`` labeled
     vertices (smaller patterns appear padded with isolated vertices, which do
     not change the value), optionally restricted by ``extra_filter``."""
-    patterns = enumerate_rgraphs(
-        p_max, fam.r, lambda h, e: is_free(h, fam, through=e), monotone=True
-    )
+    patterns = free_representatives(p_max, fam)
     best: Optional[tuple[float, RGraph]] = None
     scanned = 0
     for p in patterns:

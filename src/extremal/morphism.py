@@ -14,6 +14,11 @@ only copies that use the edge ``e``, mapping each member edge onto it in turn.
 That suffices when ``h`` minus ``e`` is known to be free: so it is for every
 child in enumeration by one-step augmentation.  The named detectors always
 scan the whole graph.
+
+``free_representatives(n, fam)`` is the one source of family-free graphs:
+the isomorph-free enumeration pruned by that rooted check, cached per
+``(n, fam)``.  Exact Turan numbers, scans, Lagrangian bounds, the
+blowup-invariance check and ``enum --family`` all read it.
 """
 
 from __future__ import annotations
@@ -312,6 +317,12 @@ def is_free(h: RGraph, fam: FamilySpec, *, through: int = 0) -> bool:
     return all(contains_subgraph(h, f, through=through) is None for f in fam.members)
 
 
+@lru_cache(maxsize=64)
+def free_representatives(n: int, fam: FamilySpec) -> tuple[RGraph, ...]:
+    """Isomorph-free list of all family-free graphs on exactly n vertices (cached)."""
+    return tuple(enumerate_rgraphs(n, fam.r, lambda g, e: is_free(g, fam, through=e)))
+
+
 def is_hom_free(h: RGraph, fam: FamilySpec) -> bool:
     """True iff no family member admits a homomorphism into ``h``.
 
@@ -459,9 +470,7 @@ def check_blowup_invariance(fam: FamilySpec, n_max: int) -> BlowupInvarianceRepo
     members = family_members(fam)
     closed = hom_image_closed(fam) if fam.kind == EXPLICIT else None
     for n in range(1, n_max + 1):
-        for h in enumerate_rgraphs(
-            n, fam.r, lambda g, e: is_free(g, fam, through=e), monotone=True
-        ):
+        for h in free_representatives(n, fam):
             for f in members:
                 phi = has_homomorphism(f, h)
                 if phi is not None:

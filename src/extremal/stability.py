@@ -17,12 +17,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, sqrt
+from functools import lru_cache
+from math import comb, factorial, prod, sqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import SoundnessError
 from .isomorphism import enumerate_rgraphs
-from .morphism import FamilySpec, has_homomorphism, is_free
+from .morphism import FamilySpec, free_representatives, has_homomorphism, is_free
 from .rgraph import (
     RGraph,
     VertexPartition,
@@ -33,7 +34,6 @@ from .rgraph import (
     mask_of,
     shadow,
 )
-from .symmetrization import free_representatives
 
 COMPLETE_BLOWUPS = "complete-blowups"
 SEMIBIPARTITE = "semibipartite"
@@ -256,24 +256,17 @@ def semibipartition(h: RGraph) -> Optional[tuple[frozenset[int], frozenset[int]]
 # ---------------------------------------------------------------------------
 # membership and hulls
 
-_PATTERN_CACHE: dict[tuple[int, int], tuple[RGraph, ...]] = {}
-
-
+@lru_cache(maxsize=32)
 def _system_patterns(r: int, p_max: int) -> tuple[RGraph, ...]:
     """Two-covered patterns in which every (r-1)-set lies in at most one edge,
-    up to isomorphism, on at most ``p_max`` vertices.  The single-vertex
-    pattern hosts the edgeless graphs."""
-    key = (r, p_max)
-    if key not in _PATTERN_CACHE:
-        pats: list[RGraph] = [RGraph(r, 1, ())]
-        for p in range(r, p_max + 1):
-            for g in enumerate_rgraphs(
-                p, r, lambda x, _: is_design_system(x, r - 1), monotone=True
-            ):
-                if is_two_covered(g):
-                    pats.append(g)
-        _PATTERN_CACHE[key] = tuple(pats)
-    return _PATTERN_CACHE[key]
+    up to isomorphism, on at most ``p_max`` vertices (cached).  The
+    single-vertex pattern hosts the edgeless graphs."""
+    pats: list[RGraph] = [RGraph(r, 1, ())]
+    for p in range(r, p_max + 1):
+        for g in enumerate_rgraphs(p, r, lambda x, _: is_design_system(x, r - 1)):
+            if is_two_covered(g):
+                pats.append(g)
+    return tuple(pats)
 
 
 def _quotient(h: RGraph) -> RGraph:
@@ -317,7 +310,17 @@ def in_hull(h: RGraph, spec: ClassSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# low-degree cleaning
+# thresholds and low-degree cleaning
+
+
+def _strict_threshold(
+    pi_ref: float | Fraction, eps: float | Fraction, n: int, k: int
+) -> float | Fraction:
+    """``(pi_ref/k! - eps) * n^k``, the bound that a minimum degree (k = r-1)
+    or an edge count (k = r) must strictly exceed.  Computed in the
+    arithmetic of ``pi_ref`` and ``eps``, so ``Fraction`` inputs give an
+    exact threshold and a graph sitting exactly on it never qualifies."""
+    return (pi_ref / factorial(k) - eps) * n**k
 
 
 def low_degree_set(h: RGraph, pi_ref: float | Fraction, eps: float | Fraction) -> frozenset[int]:
@@ -363,7 +366,7 @@ def check_vertex_extendable(
 
     The threshold is computed in the arithmetic of ``pi_ref`` and ``zeta``,
     so ``Fraction`` inputs give an exact strict comparison."""
-    thr = (pi_ref / factorial(h.r - 1) - zeta) * h.n ** (h.r - 1)
+    thr = _strict_threshold(pi_ref, zeta, h.n, h.r - 1)
     degree_ok = h.min_degree() > thr
     base, _ = delete_vertices(h, (v,))
     base_ok = in_hull(base, spec)
@@ -411,7 +414,7 @@ def extend_by_set(
                 residual.discard(v)
                 progress = True
                 break
-    thr = (pi_ref / factorial(h.r - 1) - eps) * h.n ** (h.r - 1)
+    thr = _strict_threshold(pi_ref, eps, h.n, h.r - 1)
     return PeelResult(
         frozenset(residual),
         member=in_hull(h, spec),
@@ -534,19 +537,13 @@ def greedy_embed(
 
     g_edge_set = set(g.edges)
 
-    def _prod(it):
-        out = 1
-        for x in it:
-            out *= x
-        return out
-
     def hypothesis_report() -> dict:
         n = h.n
         size_ok = all(len(classes[j]) >= (len(s) + 1) * len(t) * eta ** (1 / h.r) * n for j in t)
         density_ok = True
         for combo in itertools.combinations(t, h.r):
             have = _rainbow_count(h, class_of, combo)
-            want = _prod(len(classes[j]) for j in combo) if combo in g_edge_set else 0
+            want = prod(len(classes[j]) for j in combo) if combo in g_edge_set else 0
             if have < want - eta * n**h.r:
                 density_ok = False
         link_ok = True
@@ -555,7 +552,7 @@ def greedy_embed(
                 full = tuple(sorted(set(combo) | {class_of[v]}))
                 if full not in g_edge_set:
                     continue
-                want = _prod(len(classes[j]) for j in combo)
+                want = prod(len(classes[j]) for j in combo)
                 have = sum(
                     1
                     for e in h.edges
@@ -826,10 +823,7 @@ def scan_stability(
 
     qualifying: list[tuple[int, RGraph]] = []
     for n in range(lo, hi + 1):
-        if kind == "degree":
-            thr = (pi_ref / factorial(r - 1) - eps) * n ** (r - 1)
-        else:
-            thr = (pi_ref / factorial(r) - eps) * n**r
+        thr = _strict_threshold(pi_ref, eps, n, r - 1 if kind == "degree" else r)
         for g in free_representatives(n, fam):
             meets = g.min_degree() > thr if kind == "degree" else len(g.edges) > thr
             if meets:

@@ -21,8 +21,8 @@ from math import comb
 from typing import Iterable, Optional
 
 from .errors import SoundnessError
-from .isomorphism import CANONICAL_MAX_N, canonical_form, enumerate_rgraphs
-from .morphism import FamilySpec, is_free
+from .isomorphism import CANONICAL_MAX_N, canonical_form
+from .morphism import FamilySpec, free_representatives, is_free
 from .rgraph import (
     RGraph,
     bit,
@@ -103,26 +103,34 @@ def _guard_free(h_new: RGraph, fam: FamilySpec, before: RGraph) -> None:
         )
 
 
-def class_symmetrize_step(h: RGraph, fam: FamilySpec) -> Optional[RGraph]:
-    """One whole-class link replacement, or None when already symmetrized."""
+def _step(
+    h: RGraph, fam: FamilySpec, mode: str
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...], RGraph]]:
+    """One link replacement on the pair ``_select_pair`` picks, for the whole
+    absorbed class (class mode) or its first vertex (vertex mode), checked
+    to stay family-free: ``(absorbed, donor, out)``, or None when ``h`` is
+    already symmetrized."""
     pair = _select_pair(h)
     if pair is None:
         return None
     absorbed, donor = pair
+    if mode == VERTEX_MODE:
+        absorbed = (absorbed[0],)
     out = _replace_links(h, absorbed, donor[0])
     _guard_free(out, fam, h)
-    return out
+    return absorbed, donor, out
+
+
+def class_symmetrize_step(h: RGraph, fam: FamilySpec) -> Optional[RGraph]:
+    """One whole-class link replacement, or None when already symmetrized."""
+    step = _step(h, fam, CLASS_MODE)
+    return None if step is None else step[2]
 
 
 def vertex_symmetrize_step(h: RGraph, fam: FamilySpec) -> Optional[RGraph]:
     """One single-vertex link replacement, or None when already symmetrized."""
-    pair = _select_pair(h)
-    if pair is None:
-        return None
-    absorbed, donor = pair
-    out = _replace_links(h, (absorbed[0],), donor[0])
-    _guard_free(out, fam, h)
-    return out
+    step = _step(h, fam, VERTEX_MODE)
+    return None if step is None else step[2]
 
 
 def symmetrize(h: RGraph, fam: FamilySpec, mode: str = CLASS_MODE) -> SymTrace:
@@ -135,19 +143,14 @@ def symmetrize(h: RGraph, fam: FamilySpec, mode: str = CLASS_MODE) -> SymTrace:
         raise ValueError(f"mode must be 'class' or 'vertex', got {mode!r}")
     if not is_free(h, fam):
         raise ValueError("input graph is not family-free")
-    step_fn = class_symmetrize_step if mode == CLASS_MODE else vertex_symmetrize_step
     steps: list[SymStep] = []
     cur = h
     cap = comb(h.n, h.r) * (h.n**2 + 1) + h.n + 1  # lex chain bound on (edges, energy)
     for _ in range(cap):
-        pair = _select_pair(cur)
-        if pair is None:
+        step = _step(cur, fam, mode)
+        if step is None:
             break
-        absorbed, donor = pair
-        if mode == VERTEX_MODE:
-            absorbed = (absorbed[0],)
-        nxt = _replace_links(cur, absorbed, donor[0])
-        _guard_free(nxt, fam, cur)
+        absorbed, donor, nxt = step
         rec = SymStep(
             "class-merge" if mode == CLASS_MODE else "vertex",
             absorbed,
@@ -182,18 +185,6 @@ def symmetrize(h: RGraph, fam: FamilySpec, mode: str = CLASS_MODE) -> SymTrace:
 
 # ---------------------------------------------------------------------------
 # exact Turan numbers
-
-_FREE_REPS: dict[tuple[FamilySpec, int], tuple[RGraph, ...]] = {}
-
-
-def free_representatives(n: int, fam: FamilySpec) -> tuple[RGraph, ...]:
-    """Isomorph-free list of all family-free graphs on exactly n vertices (cached)."""
-    key = (fam, n)
-    if key not in _FREE_REPS:
-        reps = enumerate_rgraphs(n, fam.r, lambda g, e: is_free(g, fam, through=e), monotone=True)
-        _FREE_REPS[key] = tuple(reps)
-    return _FREE_REPS[key]
-
 
 def ex_bruteforce(n: int, fam: FamilySpec) -> ExResult:
     """Exact maximum edge count over all family-free graphs on n vertices,

@@ -27,6 +27,7 @@ from .morphism import (
     FamilySpec,
     cancellative_family,
     explicit_family,
+    free_representatives,
     generalized_triangles,
     is_free,
     single_graph,
@@ -43,8 +44,7 @@ from .stability import (
     semibipartite_class,
     two_covered_systems,
 )
-from .symmetrization import ex as ex_both
-from .symmetrization import ex_bruteforce, ex_via_patterns, symmetrize
+from .symmetrization import ex, symmetrize
 
 
 def fmt_float(x: float) -> str:
@@ -154,13 +154,7 @@ def op_make(tag: str, params: list[int]) -> RGraph:
 
 
 def op_ex(n: int, family: str, method: str, p_max: Optional[int]) -> dict:
-    fam = parse_family(family)
-    if method == "brute":
-        res = ex_bruteforce(n, fam)
-    elif method == "patterns":
-        res = ex_via_patterns(n, fam, p_max)
-    else:
-        res = ex_both(n, fam, p_max=p_max)
+    res = ex(n, parse_family(family), method, p_max)
     return {
         "command": "ex",
         "n": n,
@@ -292,8 +286,7 @@ def op_extendable(path: str, v: int, target: str, zeta: float, pi_ref: float) ->
 
 def op_enum(n: int, r: int, family: Optional[str]) -> dict:
     if family is not None:
-        fam = parse_family(family)
-        reps = enumerate_rgraphs(n, r, lambda g, e: is_free(g, fam, through=e), monotone=True)
+        reps = free_representatives(n, parse_family(family))
     else:
         reps = enumerate_rgraphs(n, r)
     return {

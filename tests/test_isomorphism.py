@@ -113,7 +113,7 @@ def test_budget():
 def test_triangle_free_enumeration_counts():
     k3 = single_graph(cons.complete_graph(3))
     counts = [
-        len(enumerate_rgraphs(n, 2, lambda g, e: is_free(g, k3, through=e), monotone=True))
+        len(enumerate_rgraphs(n, 2, lambda g, e: is_free(g, k3, through=e)))
         for n in range(1, 8)
     ]
     assert counts == [1, 2, 3, 7, 14, 38, 107]
@@ -168,6 +168,7 @@ K4 = single_graph(cons.complete_graph(4))
 SIGMA3 = generalized_triangles(3)
 CANCELLATIVE3 = cancellative_family(3)
 
+# (n, r, family, whether the oracle prunes by the predicate as it grows)
 DIFFERENTIAL_CASES = (
     [(n, 2, None, False) for n in range(1, 7)]
     + [(n, 3, None, False) for n in range(1, 6)]
@@ -184,20 +185,9 @@ def test_orbit_pruning_keeps_representatives(n, r, fam, monotone):
     # the pruned enumerator checks freeness only through the added edge
     rooted = None if fam is None else (lambda g, e: is_free(g, fam, through=e))
     full = None if fam is None else (lambda g: is_free(g, fam))
-    new = enumerate_rgraphs(n, r, rooted, monotone=monotone)
+    new = enumerate_rgraphs(n, r, rooted)
     old = dedupe_enumerate(n, r, full, monotone=monotone)
     assert [g.edges for g in new] == [g.edges for g in old]
-
-
-def test_orbit_pruning_keeps_representatives_without_monotone():
-    def no_isolated(g):
-        return min(g.degrees) > 0
-
-    for n, r in [(6, 2), (5, 3)]:
-        # without the flag the final filter gets 0 for the added edge: a full check
-        new = enumerate_rgraphs(n, r, lambda g, e: e == 0 and no_isolated(g))
-        old = dedupe_enumerate(n, r, no_isolated)
-        assert [g.edges for g in new] == [g.edges for g in old]
 
 
 def test_automorphism_generators_on_random_graphs():

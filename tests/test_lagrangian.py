@@ -52,6 +52,24 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(cons.complete_graph(3), [0.5, 0.5])
 
+    def test_float_matches_exact(self):
+        # edgeless graphs included: the float kernels get an empty edge array
+        rng = random.Random(5)
+        for _ in range(60):
+            r = rng.choice([2, 3])
+            n = rng.randint(1, 7)
+            h = random_rgraph(rng, n, r, rng.choice([0.0, 0.3, 0.7]))
+            exact = [Fraction(rng.randint(0, 9), 9) for _ in range(n)]
+            approx = [float(w) for w in exact]
+            value = evaluate(h, exact)
+            assert isinstance(value, Fraction)
+            assert evaluate(h, approx) == pytest.approx(float(value), abs=1e-12)
+            grads = gradient(h, approx)
+            assert grads.shape == (n,)
+            assert np.allclose(grads, [float(d) for d in gradient(h, exact)], atol=1e-12)
+            if not h.edges:
+                assert value == 0 and evaluate(h, approx) == 0.0 and not grads.any()
+
 
 class TestGradient:
     def test_k3_example(self):
@@ -112,6 +130,13 @@ class TestMaximize:
     def test_edgeless(self):
         res = maximize(RGraph(3, 4, ()))
         assert res.value == 0.0
+
+    def test_edgeless_multistart(self):
+        # 13 vertices is past the support limit: every start ascends a zero polynomial
+        res = maximize(RGraph(2, 13, ()), restarts=4)
+        assert res.method == "multistart-ascent"
+        assert res.value == 0.0 and res.converged
+        assert res.gap == 6 / 13  # C(13, 2) / 13^2 - 0
 
     def test_value_matches_maximizer(self):
         res = maximize(cons.turan_rgraph(6, 3, 3))

@@ -99,9 +99,7 @@ class TestDetectors:
     def test_sigma_strictly_inside_cancellative_for_r4(self):
         # hunt a 4-graph telling the two detectors apart, by enumeration
         found = None
-        for g in enumerate_rgraphs(
-            6, 4, lambda h, _: find_generalized_triangle(h) is None, monotone=True
-        ):
+        for g in enumerate_rgraphs(6, 4, lambda h, _: find_generalized_triangle(h) is None):
             if find_cancellative_violation(g) is not None:
                 found = g
                 break
@@ -226,7 +224,7 @@ class TestBlowupInvariance:
     @pytest.mark.parametrize("fam_name", ["k3", "sigma3"])
     def test_blowups_of_free_patterns_stay_free(self, fam_name):
         fam = single_graph(K3) if fam_name == "k3" else generalized_triangles(3)
-        patterns = enumerate_rgraphs(4, fam.r, lambda g, _: is_free(g, fam), monotone=True)
+        patterns = enumerate_rgraphs(4, fam.r, lambda g, _: is_free(g, fam))
         for pat in patterns:
             for sizes in itertools.product(range(1, 4), repeat=pat.n):
                 if sum(sizes) > 8:
@@ -507,7 +505,7 @@ def test_rooted_freeness_matches_full(name):
     fam, n = ROOTED_FAMILIES[name]
     r = fam.r
     checked = 0
-    for g in enumerate_rgraphs(n, r, lambda h, _: is_free(h, fam), monotone=True):
+    for g in enumerate_rgraphs(n, r, lambda h, _: is_free(h, fam)):
         for e in itertools.combinations(range(n), r):
             if g.has_edge(e):
                 continue

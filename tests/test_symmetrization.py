@@ -101,6 +101,24 @@ class TestSymmetrize:
         with pytest.raises(SoundnessError, match="still to symmetrize"):
             symmetrize(cycle(5), K3FAM)
 
+    @pytest.mark.parametrize(
+        "mode,rewrite,message",
+        [
+            ("class", lambda h: RGraph(h.r, h.n, ()), "class step lex-decreased"),
+            ("vertex", lambda h: h, "vertex step did not lex-increase"),
+            ("class", lambda h: h, "class step did not reduce class count"),
+            ("vertex", lambda h: cons.complete_graph(h.n), "left the .* class"),
+        ],
+        ids=["class-lex-decrease", "vertex-no-increase", "class-count-kept", "not-free"],
+    )
+    def test_bad_step_raises(self, monkeypatch, mode, rewrite, message):
+        # a link replacement that breaks what a blowup-invariant family guarantees
+        monkeypatch.setattr(
+            symmetrization, "_replace_links", lambda h, absorbed, donor_rep: rewrite(h)
+        )
+        with pytest.raises(SoundnessError, match=message):
+            symmetrize(cycle(5), K3FAM, mode)
+
     @pytest.mark.parametrize("mode", ["class", "vertex"])
     def test_trace_monotonicity_random(self, mode):
         rng = random.Random(10)

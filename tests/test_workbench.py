@@ -101,6 +101,10 @@ class TestRun:
         with pytest.raises(FormatError):
             run(ExperimentConfig("mystery", {}))
 
+    def test_run_ex_unknown_method(self):
+        with pytest.raises(ValueError, match="brute\\|patterns\\|both"):
+            run(ExperimentConfig("ex", {"n": 4, "family": "k3", "method": "bogus"}))
+
     def test_run_lagrangian(self, tmp_path):
         p = tmp_path / "k3.hgr"
         hgr.dump(cons.complete_graph(3), p)

@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# Run a fixed list of `extremal` CLI commands and write every payload,
+# witness, graph and stdout file into OUTDIR.  Commands run inside OUTDIR
+# with relative paths, so two snapshots (two checkouts, or two values of
+# PYTHONHASHSEED) must agree byte for byte:
+#
+#   tools/cli_snapshot.sh /tmp/a && (cd other-checkout && tools/cli_snapshot.sh /tmp/b)
+#   diff -r /tmp/a /tmp/b
+#
+# The list covers every subcommand: the criterion-12 set of
+# tests/test_acceptance.py plus larger enumerations, Turan numbers, a scan,
+# both symmetrization modes and the three Lagrangian routes.
+set -euo pipefail
+if [ $# -ne 1 ]; then
+  echo "usage: $0 OUTDIR" >&2
+  exit 2
+fi
+root=$(cd "$(dirname "$0")/.." && pwd)
+mkdir -p "$1"
+cd "$1"
+export PYTHONPATH="$root/src${PYTHONPATH:+:$PYTHONPATH}"
+
+run() {  # run NAME ARG...: one CLI call, its stdout kept as NAME.out
+  local name=$1
+  shift
+  python -m extremal.cli "$@" > "$name.out"
+}
+
+printf '2 5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n' > c5.hgr
+printf '2 14 0\n' > empty14.hgr
+# a K4-free graph on 12 vertices that is not symmetrized
+cat > k4free12.hgr <<'HGR'
+2 12 35
+0 1
+0 2
+0 3
+0 5
+0 6
+0 11
+1 3
+1 5
+1 7
+1 8
+1 9
+1 11
+2 3
+2 4
+2 6
+2 8
+2 9
+2 10
+3 7
+3 10
+4 5
+4 7
+4 8
+4 9
+4 10
+5 6
+5 7
+6 7
+6 8
+6 10
+7 8
+7 9
+7 10
+9 11
+10 11
+HGR
+
+# the criterion-12 set
+run make make turanr 6 3 3 -o t.hgr
+run make-big make turan 13 3 -o big.hgr
+run check check c5.hgr --family k3 --class bipartite --json check.json
+run ex5 ex --n 5 --family k3 --json ex5.json --witness-dir wit5
+run lag-big --seed 11 lagrangian big.hgr --restarts 8 --json lag-big.json
+run sym-c5 symmetrize c5.hgr --family k3 --mode vertex --trace sym-c5.json -o sym-c5.hgr
+run scan-k3 scan --family k3 --class bipartite --kind degree --n 4..6 --eps 0.1 \
+  --json scan-k3.json --csv scan-k3.csv
+run extendable extendable c5.hgr --v 0 --class bipartite --zeta 0.05 --piref 0.5 \
+  --json extendable.json
+run enum-k3 enum --n 5 --r 2 --family k3 -o enum-k3 --json enum-k3.json
+
+# enumeration, Turan numbers and a scan at larger sizes
+run enum-7-2 enum --n 7 --r 2 --json enum-7-2.json
+run enum-sigma3 enum --n 6 --r 3 --family sigma:3 -o enum-sigma3 --json enum-sigma3.json
+run enum-k4 enum --n 7 --r 2 --family k4 --json enum-k4.json
+run ex8-k3 ex --n 8 --family k3 --method both --json ex8-k3.json --witness-dir wit8
+run ex6-sigma3 ex --n 6 --family sigma:3 --json ex6-sigma3.json --witness-dir wit6
+run scan-k4 scan --family k4 --class krl:2:3 --kind degree --n 6..7 --eps 0.1 \
+  --json scan-k4.json --csv scan-k4.csv
+
+# symmetrization in both modes, and the three Lagrangian routes
+for mode in class vertex; do
+  run "sym-$mode" symmetrize k4free12.hgr --family k4 --mode "$mode" \
+    --trace "sym-$mode.json" -o "sym-$mode.hgr"
+done
+run lag-supports lagrangian k4free12.hgr --supports --json lag-supports.json
+run lag-turanr --seed 3 lagrangian t.hgr --format json --json lag-turanr.json
+run make-big3 make turanr 13 3 3 -o big3.hgr
+run lag-big3 --seed 5 lagrangian big3.hgr --restarts 16 --json lag-big3.json
+run lag-empty lagrangian empty14.hgr --restarts 4 --json lag-empty.json
