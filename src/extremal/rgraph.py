@@ -6,8 +6,9 @@ instances can be shared freely across threads.
 
 Edges are stored as sorted vertex tuples in lexicographic order (the on-disk
 and display order); bitmask views are cached on first use because the search
-heavy callers live on them.  The bitmask design caps ``n`` at 64, which is far
-beyond anything the enumeration budgets allow anyway.
+heavy callers live on them, and enumeration carries them from a parent to
+its children (``RGraph._plus_vertex``).  The bitmask design caps ``n`` at 64,
+which is far beyond anything the enumeration budgets allow anyway.
 """
 
 from __future__ import annotations
@@ -80,6 +81,40 @@ class RGraph:
     @classmethod
     def empty(cls, r: int, n: int) -> "RGraph":
         return cls(r, n, ())
+
+    def _plus_vertex(
+        self, new_edges: tuple[tuple[int, ...], ...], new_masks: tuple[int, ...]
+    ) -> "RGraph":
+        """This graph plus vertex ``self.n`` with the edges ``new_edges``
+        (sorted tuples ending in the new vertex, in lex order) and their masks
+        ``new_masks`` (in the same order).
+
+        Trusted, for enumeration only: nothing is validated, and the bitmask
+        views are the parent's updated for the new edges instead of being
+        derived from scratch.  Every new mask exceeds every old one, since it
+        holds the new vertex's bit, so ``edge_masks`` only sorts the new ones.
+        """
+        degrees = list(self.degrees) + [0]
+        adj = list(self.covered_adj) + [0]
+        for m in new_masks:
+            rest = m
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                adj[v] |= m & ~low
+                degrees[v] += 1
+                rest ^= low
+        g = object.__new__(RGraph)
+        object.__setattr__(g, "r", self.r)
+        object.__setattr__(g, "n", self.n + 1)
+        # old edges all precede the new ones in mask order, not in lex order
+        object.__setattr__(g, "edges", tuple(sorted(self.edges + new_edges)))
+        views = g.__dict__
+        views["edge_masks"] = self.edge_masks + tuple(sorted(new_masks))
+        views["edge_mask_set"] = self.edge_mask_set.union(new_masks)
+        views["degrees"] = tuple(degrees)
+        views["covered_adj"] = tuple(adj)
+        return g
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import pytest
 from extremal import constructions as cons
 from extremal.errors import BudgetError
 from extremal.isomorphism import (
+    _first_in_orbit,
     _refine,
     _search,
     are_isomorphic,
@@ -137,11 +138,11 @@ def test_enumeration_deterministic():
     assert [g.edges for g in a] == [g.edges for g in b]
 
 
-def dedupe_enumerate(n, r, predicate=None, *, monotone=False):
+def dedupe_enumerate(n, r, predicate=None):
     """The enumerator as it was before orbit pruning: every admissible link
     of every parent, deduplicated by canonical form.  Kept as the oracle for
-    the pruned enumerator; its predicate takes only the graph, so monotone
-    pruning here always checks the whole graph."""
+    the pruned enumerator; its predicate takes only the graph, so pruning
+    here always checks the whole graph."""
     reps = [RGraph(r, 0, ())]
     for k in range(n):
         out = {}
@@ -150,7 +151,7 @@ def dedupe_enumerate(n, r, predicate=None, *, monotone=False):
 
             def grow(start, chosen):
                 g = RGraph(r, k + 1, base.edges + chosen)
-                if monotone and predicate is not None and not predicate(g):
+                if predicate is not None and not predicate(g):
                     return
                 out.setdefault(canonical_form(g).key, g)
                 for i in range(start, len(pool)):
@@ -158,8 +159,6 @@ def dedupe_enumerate(n, r, predicate=None, *, monotone=False):
 
             grow(0, ())
         reps = [out[key] for key in sorted(out)]
-    if predicate is not None and not monotone:
-        reps = [g for g in reps if predicate(g)]
     return reps
 
 
@@ -168,26 +167,76 @@ K4 = single_graph(cons.complete_graph(4))
 SIGMA3 = generalized_triangles(3)
 CANCELLATIVE3 = cancellative_family(3)
 
-# (n, r, family, whether the oracle prunes by the predicate as it grows)
 DIFFERENTIAL_CASES = (
-    [(n, 2, None, False) for n in range(1, 7)]
-    + [(n, 3, None, False) for n in range(1, 6)]
-    + [(n, 2, K3, True) for n in range(1, 8)]
-    + [(n, 2, K4, True) for n in range(1, 7)]
-    + [(n, 3, SIGMA3, True) for n in range(1, 6)]
-    + [(n, 3, CANCELLATIVE3, True) for n in range(1, 6)]
-    + [(8, 2, K3, True)]  # the size the turan workload's K3 sweep reaches
+    [(n, 2, None) for n in range(1, 7)]
+    + [(n, 3, None) for n in range(1, 6)]
+    + [(n, 2, K3) for n in range(1, 8)]
+    + [(n, 2, K4) for n in range(1, 7)]
+    + [(n, 3, SIGMA3) for n in range(1, 6)]
+    + [(n, 3, CANCELLATIVE3) for n in range(1, 6)]
+    # the top sizes the turan workload's sweeps reach
+    + [(8, 2, K3), (7, 2, K4), (6, 3, SIGMA3)]
 )
 
 
-@pytest.mark.parametrize("n,r,fam,monotone", DIFFERENTIAL_CASES)
-def test_orbit_pruning_keeps_representatives(n, r, fam, monotone):
+@pytest.mark.parametrize(
+    "n,r,fam",
+    DIFFERENTIAL_CASES,
+    # n, r, the family, and whether a family prunes the enumeration
+    ids=[
+        f"{n}-{r}-{'None' if fam is None else f'fam{i}'}-{fam is not None}"
+        for i, (n, r, fam) in enumerate(DIFFERENTIAL_CASES)
+    ],
+)
+def test_orbit_pruning_keeps_representatives(n, r, fam):
     # the pruned enumerator checks freeness only through the added edge
     rooted = None if fam is None else (lambda g, e: is_free(g, fam, through=e))
     full = None if fam is None else (lambda g: is_free(g, fam))
     new = enumerate_rgraphs(n, r, rooted)
-    old = dedupe_enumerate(n, r, full, monotone=monotone)
+    old = dedupe_enumerate(n, r, full)
     assert [g.edges for g in new] == [g.edges for g in old]
+
+
+def test_first_in_orbit_finds_the_least_set_and_is_prefix_closed():
+    # the link search cuts the subtree of a set that is not least in its
+    # orbit, which is exact only because the least sets are prefix-closed
+    rng = random.Random(31)
+    for _ in range(30):
+        m = rng.randint(2, 6)
+        gens = [tuple(rng.sample(range(m), m)) for _ in range(rng.randint(1, 2))]
+        group = group_closure(m, gens)
+        for size in range(m + 1):
+            for t in itertools.combinations(range(m), size):
+                least = min(tuple(sorted(p[i] for i in t)) for p in group)
+                first = _first_in_orbit(t, gens)
+                assert first == (least == t)
+                if t and first:
+                    assert _first_in_orbit(t[:-1], gens)
+
+
+CARRIED_VIEWS = ("edge_masks", "edge_mask_set", "covered_adj", "degrees")
+
+
+@pytest.mark.parametrize(
+    "n,r,fam", [(7, 2, K3), (6, 2, K4), (5, 3, SIGMA3), (5, 3, None)]
+)
+def test_children_carry_the_views_of_a_validated_graph(n, r, fam):
+    # every child the enumerator builds reaches the predicate, so wrapping it
+    # checks them all; with no family it holds for every graph
+    built = []
+
+    def predicate(g, e):
+        fresh = RGraph(r, g.n, g.edges)
+        assert g == fresh and hash(g) == hash(fresh)
+        for name in CARRIED_VIEWS:
+            assert name in vars(g)  # carried over, not derived on first use
+            assert getattr(g, name) == getattr(fresh, name)
+        built.append(g)
+        return fam is None or is_free(g, fam, through=e)
+
+    reps = enumerate_rgraphs(n, r, predicate)
+    # the stored representatives are built children too
+    assert {id(g) for g in reps} <= {id(g) for g in built}
 
 
 def test_automorphism_generators_on_random_graphs():

@@ -8,8 +8,9 @@
 #   diff -r /tmp/a /tmp/b
 #
 # The list covers every subcommand: the criterion-12 set of
-# tests/test_acceptance.py plus larger enumerations, Turan numbers, a scan,
-# both symmetrization modes and the three Lagrangian routes.
+# tests/test_acceptance.py plus larger enumerations (3-graphs included),
+# Turan numbers, a scan, both symmetrization modes and the three Lagrangian
+# routes.
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUTDIR" >&2
@@ -83,6 +84,9 @@ run enum-k3 enum --n 5 --r 2 --family k3 -o enum-k3 --json enum-k3.json
 
 # enumeration, Turan numbers and a scan at larger sizes
 run enum-7-2 enum --n 7 --r 2 --json enum-7-2.json
+# unconstrained 3-graphs, where the order of the link pool is not mask order
+run enum-5-3 enum --n 5 --r 3 -o enum-5-3 --json enum-5-3.json
+run enum-6-3 enum --n 6 --r 3 -o enum-6-3 --json enum-6-3.json
 run enum-sigma3 enum --n 6 --r 3 --family sigma:3 -o enum-sigma3 --json enum-sigma3.json
 run enum-k4 enum --n 7 --r 2 --family k4 --json enum-k4.json
 run ex8-k3 ex --n 8 --family k3 --method both --json ex8-k3.json --witness-dir wit8
