@@ -25,19 +25,16 @@ The final beam of either search holds one minimal labeling per coset of the
 twin-class permutations, so it also yields generators of the automorphism
 group (``automorphism_generators``).
 
-Enumeration grows graphs one vertex at a time, one level per vertex count
-(``next_level``; ``enumerate_rgraphs`` is a loop over it, and
-``morphism.free_representatives`` keeps the levels of each family so that
-later calls extend them instead of starting again).  Children are
-deduplicated by certificate, keeping the first child of each class; each
-level is then sorted by canonical form, computed once per class.  That is
-the child and the order that deduplicating by canonical form would keep, so
-the stored representatives are unchanged.  The link sets of the new vertex
-are walked in lexicographic preorder, and a child is built only when its
-link set is the first of its orbit under the parent's automorphisms, whose
-generators come from the beam kept when the parent was registered: the rest
-of the orbit gives isomorphic children found earlier from the same parent
-(the parent-side half of canonical augmentation; McKay, "Isomorph-free
+Enumeration grows graphs one vertex at a time and deduplicates children by
+certificate, keeping the first child of each class; each level is then
+sorted by canonical form, computed once per class.  That is the child and
+the order that deduplicating by canonical form would keep, so the stored
+representatives are unchanged.  The link sets of the new vertex are walked
+in lexicographic preorder, and a child is built only when its link set is
+the first of its orbit under the parent's automorphisms, whose generators
+come from the beam kept when the parent was registered: the rest of the
+orbit gives isomorphic children found earlier from the same parent (the
+parent-side half of canonical augmentation; McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998).  Link sets that are first
 of their orbit are closed under dropping the last element, so the walk cuts
 the whole subtree below a set that is not (orderly generation).  A child is
@@ -248,88 +245,11 @@ def are_isomorphic(a: RGraph, b: RGraph) -> bool:
     return canonical_form(a).key == canonical_form(b).key
 
 
-def check_enum_budget(n: int, r: int) -> None:
-    """Refuse an exhaustive enumeration of ``r``-graphs on ``n`` vertices
-    beyond the per-uniformity cap."""
-    if n < 0:
-        raise ValueError(f"vertex count must be >= 0, got {n}")
-    limit = ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
-    if n > limit:
-        raise BudgetError(f"enumeration of {r}-graphs capped at n <= {limit}, got {n}")
-
-
-@dataclass(frozen=True)
-class Level:
-    """One level of the enumeration: a representative per class, in
-    canonical-form order, and for each the final beam and twin classes of its
-    certificate search, which give its automorphisms to the next level."""
-
-    graphs: tuple[RGraph, ...]
-    searches: tuple[tuple[list[tuple[int, ...]], VertexPartition], ...]
-
-
-def first_level(r: int) -> Level:
-    """The level of ``r``-graphs on no vertices: the empty graph alone."""
-    empty = RGraph(r, 0, ())
-    return Level((empty,), (([()], equivalence_classes(empty)),))
-
-
-def next_level(
-    level: Level, predicate: Optional[Callable[[RGraph, int], bool]] = None
-) -> Level:
-    """The level on one vertex more: a representative of every class on one
-    vertex more than ``level``'s graphs that satisfies ``predicate``.
-    ``level`` must come from the same enumeration: ``first_level``, or this
-    function's output for the same predicate.  See ``enumerate_rgraphs`` for
-    the contract."""
-    if not level.graphs:
-        return level
-    r, k = level.graphs[0].r, level.graphs[0].n
-    out: dict[tuple[int, ...], tuple[RGraph, tuple[list[tuple[int, ...]], VertexPartition]]] = {}
-    pool = [c + (k,) for c in itertools.combinations(range(k), r - 1)]
-    pool_masks = [mask_of(e) for e in pool]
-    index = {e: i for i, e in enumerate(pool)}
-
-    def register(g: RGraph) -> None:
-        prefix, beam, eq = _search(g, _refine(g))
-        key = tuple(prefix)
-        if key not in out:
-            out[key] = (g, (beam, eq))
-
-    for base, (base_beam, base_eq) in zip(level.graphs, level.searches):
-        # Aut(base) acting on link edges; a child whose link is not the
-        # first of its orbit in the preorder below is isomorphic to an
-        # earlier child of this parent, so it cannot be the stored one, and
-        # neither can any child whose link extends it (see _first_in_orbit)
-        moves = []
-        if len(pool) > 1:
-            for p in _generators(k, base_beam, base_eq):
-                images = (tuple(sorted(p[v] for v in e[:-1])) + (k,) for e in pool)
-                moves.append(tuple(index[e] for e in images))
-
-        def grow(start: int, picked: tuple[int, ...]) -> None:
-            if moves and not _first_in_orbit(picked, moves):
-                return
-            g = base._plus_vertex(
-                tuple(pool[i] for i in picked), tuple(pool_masks[i] for i in picked)
-            )
-            if predicate is not None and not predicate(g, pool_masks[picked[-1]] if picked else 0):
-                return  # no supergraph can satisfy a hereditary predicate
-            register(g)
-            for i in range(start, len(pool)):
-                grow(i + 1, picked + (i,))
-
-        grow(0, ())
-    ordered = sorted(out.values(), key=lambda c: canonical_form(c[0]).key)
-    return Level(tuple(g for g, _ in ordered), tuple(s for _, s in ordered))
-
-
 def enumerate_rgraphs(
     n: int, r: int, predicate: Optional[Callable[[RGraph, int], bool]] = None
 ) -> list[RGraph]:
     """One representative per isomorphism class of r-graphs on exactly ``n``
-    labeled vertices (isolated vertices included) satisfying ``predicate``:
-    ``next_level`` applied ``n`` times to ``first_level(r)``.
+    labeled vertices (isolated vertices included) satisfying ``predicate``.
 
     Children are told apart by the refined certificate, and the first child
     found in each class is kept; each level is then sorted by canonical form,
@@ -356,11 +276,54 @@ def enumerate_rgraphs(
     arrives with its bitmask views (``edge_masks``, ``edge_mask_set``,
     ``degrees``, ``covered_adj``) carried over from the parent.
     """
-    check_enum_budget(n, r)
-    level = first_level(r)
-    for _ in range(n):
-        level = next_level(level, predicate)
-    return list(level.graphs)
+    limit = ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
+    if n > limit:
+        raise BudgetError(f"enumeration of {r}-graphs capped at n <= {limit}, got {n}")
+
+    # each class as (representative, final beam and twin classes of its
+    # certificate search), the latter kept for the class's automorphisms
+    empty = RGraph(r, 0, ())
+    reps = [(empty, [()], equivalence_classes(empty))]
+    for k in range(n):
+        out: dict[tuple[int, ...], tuple[RGraph, list[tuple[int, ...]], VertexPartition]] = {}
+        pool = [c + (k,) for c in itertools.combinations(range(k), r - 1)]
+        pool_masks = [mask_of(e) for e in pool]
+        index = {e: i for i, e in enumerate(pool)}
+
+        def register(g: RGraph) -> None:
+            prefix, beam, eq = _search(g, _refine(g))
+            key = tuple(prefix)
+            if key not in out:
+                out[key] = (g, beam, eq)
+
+        for base, base_beam, base_eq in reps:
+            # Aut(base) acting on link edges; a child whose link is not the
+            # first of its orbit in the preorder below is isomorphic to an
+            # earlier child of this parent, so it cannot be the stored one, and
+            # neither can any child whose link extends it (see _first_in_orbit)
+            moves = []
+            if len(pool) > 1:
+                for p in _generators(k, base_beam, base_eq):
+                    images = (tuple(sorted(p[v] for v in e[:-1])) + (k,) for e in pool)
+                    moves.append(tuple(index[e] for e in images))
+
+            def grow(start: int, picked: tuple[int, ...]) -> None:
+                if moves and not _first_in_orbit(picked, moves):
+                    return
+                g = base._plus_vertex(
+                    tuple(pool[i] for i in picked), tuple(pool_masks[i] for i in picked)
+                )
+                if predicate is not None and not predicate(
+                    g, pool_masks[picked[-1]] if picked else 0
+                ):
+                    return  # no supergraph can satisfy a hereditary predicate
+                register(g)
+                for i in range(start, len(pool)):
+                    grow(i + 1, picked + (i,))
+
+            grow(0, ())
+        reps = sorted(out.values(), key=lambda c: canonical_form(c[0]).key)
+    return [g for g, _, _ in reps]
 
 
 def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]]) -> bool:

@@ -16,23 +16,20 @@ child in enumeration by one-step augmentation.  The named detectors always
 scan the whole graph.
 
 ``free_representatives(n, fam)`` is the one source of family-free graphs:
-the isomorph-free enumeration pruned by that rooted check.  It keeps the
-enumeration levels of each family, from no vertices up, and extends them on
-demand, so an ``ex`` sweep, a multi-n scan or ``two_covered_free_patterns``
-builds every level once.  Exact Turan numbers, scans, Lagrangian bounds,
-the blowup-invariance check and ``enum --family`` all read it.
+the isomorph-free enumeration pruned by that rooted check, cached per
+``(n, fam)``.  Exact Turan numbers, scans, Lagrangian bounds, the
+blowup-invariance check and ``enum --family`` all read it.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetError
-from .isomorphism import Level, canonical_form, check_enum_budget, first_level, next_level
+from .isomorphism import canonical_form, enumerate_rgraphs
 from .rgraph import RGraph, induced, mask_of, mask_to_tuple
 
 EXPLICIT = "explicit"
@@ -320,28 +317,10 @@ def is_free(h: RGraph, fam: FamilySpec, *, through: int = 0) -> bool:
     return all(contains_subgraph(h, f, through=through) is None for f in fam.members)
 
 
-@lru_cache(maxsize=16)
-def _free_levels(fam: FamilySpec) -> list[Level]:
-    """The levels of the ``fam``-free enumeration computed so far, from the
-    one on no vertices; ``free_representatives`` extends the list."""
-    return [first_level(fam.r)]
-
-
-_FREE_LEVELS_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=64)
 def free_representatives(n: int, fam: FamilySpec) -> tuple[RGraph, ...]:
-    """Isomorph-free list of all family-free graphs on exactly n vertices.
-
-    The enumeration levels are cached per family and extended on demand, so
-    an ``ex`` sweep or a scan over several ``n`` builds each level once; the
-    list equals ``enumerate_rgraphs(n, fam.r, <rooted freeness>)``."""
-    check_enum_budget(n, fam.r)
-    with _FREE_LEVELS_LOCK:
-        levels = _free_levels(fam)
-        while len(levels) <= n:
-            levels.append(next_level(levels[-1], lambda g, e: is_free(g, fam, through=e)))
-        return levels[n].graphs
+    """Isomorph-free list of all family-free graphs on exactly n vertices (cached)."""
+    return tuple(enumerate_rgraphs(n, fam.r, lambda g, e: is_free(g, fam, through=e)))
 
 
 def is_hom_free(h: RGraph, fam: FamilySpec) -> bool:

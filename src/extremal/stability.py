@@ -22,7 +22,7 @@ from math import comb, factorial, prod, sqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import SoundnessError
-from .isomorphism import check_enum_budget, first_level, next_level
+from .isomorphism import enumerate_rgraphs
 from .morphism import FamilySpec, free_representatives, has_homomorphism, is_free
 from .rgraph import (
     RGraph,
@@ -261,13 +261,11 @@ def _system_patterns(r: int, p_max: int) -> tuple[RGraph, ...]:
     """Two-covered patterns in which every (r-1)-set lies in at most one edge,
     up to isomorphism, on at most ``p_max`` vertices (cached).  The
     single-vertex pattern hosts the edgeless graphs."""
-    check_enum_budget(p_max, r)
     pats: list[RGraph] = [RGraph(r, 1, ())]
-    level = first_level(r)
-    for p in range(1, p_max + 1):
-        level = next_level(level, lambda x, _: is_design_system(x, r - 1))
-        if p >= r:
-            pats.extend(g for g in level.graphs if is_two_covered(g))
+    for p in range(r, p_max + 1):
+        for g in enumerate_rgraphs(p, r, lambda x, _: is_design_system(x, r - 1)):
+            if is_two_covered(g):
+                pats.append(g)
     return tuple(pats)
 
 

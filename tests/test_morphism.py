@@ -4,8 +4,6 @@ import random
 import pytest
 
 from extremal import constructions as cons
-from extremal import morphism
-from extremal.errors import BudgetError
 from extremal.isomorphism import enumerate_rgraphs
 from extremal.morphism import (
     WeakExpansionWitness,
@@ -17,7 +15,6 @@ from extremal.morphism import (
     find_cancellative_violation,
     find_generalized_triangle,
     find_weak_expansion,
-    free_representatives,
     generalized_triangles,
     has_homomorphism,
     is_free,
@@ -530,25 +527,3 @@ def test_rooted_search_only_finds_copies_through_the_edge():
         is_free(T3, generalized_triangles(3), through=mask_of((0, 1, 4)))
     with pytest.raises(ValueError):
         is_free(cycle(5), weak_expansions(path(3)), through=mask_of((0, 2)))
-
-
-def test_free_representatives_share_levels_across_n(monkeypatch):
-    k3 = single_graph(K3)
-    fresh = {n: enumerate_rgraphs(n, 2, lambda g, e: is_free(g, k3, through=e)) for n in range(8)}
-    for order in (range(8), range(7, -1, -1)):
-        morphism._free_levels.cache_clear()
-        got = {n: free_representatives(n, k3) for n in order}
-        assert all([g.edges for g in got[n]] == [g.edges for g in fresh[n]] for n in fresh)
-
-    # level 7 is cached now, so level 8 checks only graphs on 8 vertices
-    sizes = set()
-
-    def counting(h, fam, *, through=0):
-        sizes.add(h.n)
-        return is_free(h, fam, through=through)
-
-    monkeypatch.setattr(morphism, "is_free", counting)
-    assert len(free_representatives(8, k3)) == 410
-    assert sizes == {8}
-    with pytest.raises(BudgetError):
-        free_representatives(10, k3)
