@@ -25,25 +25,32 @@ The final beam of either search holds one minimal labeling per coset of the
 twin-class permutations, so it also yields generators of the automorphism
 group (``automorphism_generators``).
 
-Enumeration grows graphs one vertex at a time and deduplicates children by
-certificate, keeping the first child of each class; each level is then
-sorted by canonical form, computed once per class.  That is the child and
-the order that deduplicating by canonical form would keep, so the stored
-representatives are unchanged.  The link sets of the new vertex are walked
-in lexicographic preorder, and a child is built only when its link set is
-the first of its orbit under the parent's automorphisms, whose generators
-come from the beam kept when the parent was registered: the rest of the
-orbit gives isomorphic children found earlier from the same parent (the
-parent-side half of canonical augmentation; McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998).  Link sets that are first
-of their orbit are closed under dropping the last element, so the walk cuts
-the whole subtree below a set that is not (orderly generation).  A child is
+Enumeration grows graphs one vertex at a time by canonical augmentation
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), with
+both halves.  Parent side: the link sets of the new vertex are walked in
+lexicographic preorder, and a child is built only when its link set is the
+first of its orbit under the parent's automorphisms, whose generators come
+from the beam kept when the parent was accepted; link sets that are first of
+their orbit are closed under dropping the last element, so the walk cuts the
+whole subtree below a set that is not (orderly generation).  Child side: a
+child is accepted only when its new vertex lies in the orbit of the vertex
+that the certificate labeling puts last, its canonical deletion vertex.
+Refinement decides most candidates before any search, since the last label
+goes to a vertex of the top colour cell.  Each class is then accepted
+exactly once, so the dict keyed by certificate is only a check.  A child is
 built from its parent by a trusted constructor that carries the parent's
 bitmask views over, updated for the new link, instead of validating and
 deriving them again.  The predicate must be hereditary (closed under taking
 subgraphs), so it prunes both the link search and every level, and it is
 told which edge was just added, so that it can check only what that edge
 could have created.
+
+Output contract: every graph that leaves enumeration, and every
+``canonical_relabel``, is in its certificate labeling, and enumeration lists
+the classes in certificate order.  So output bytes depend only on the set of
+classes, not on which representative a search happened to build first, and
+enumeration never runs the costlier lex-minimal ``canonical_form``.
+
 Budgets are deliberate: the module refuses sizes it cannot handle exactly
 rather than degrading silently.
 """
@@ -56,7 +63,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Optional
 
-from .errors import BudgetError
+from .errors import BudgetError, SoundnessError
 from .rgraph import RGraph, VertexPartition, equivalence_classes, mask_of, mask_to_tuple
 
 CANONICAL_MAX_N = 10
@@ -227,8 +234,12 @@ def _generators(n: int, beam: list[tuple[int, ...]], eq: VertexPartition) -> lis
 
 
 def canonical_relabel(h: RGraph) -> RGraph:
-    """The canonical representative of the isomorphism class of ``h``."""
-    return RGraph(h.r, h.n, canonical_form(h).edges)
+    """``h`` in its certificate labeling: the relabeling whose edge masks are
+    the refined certificate.  Isomorphic graphs give the same graph, and
+    ``enumerate_rgraphs`` returns only such fixed points, so enumeration
+    output, ``ex`` witnesses and scan counterexamples share one labeling.  It
+    is not the lex-minimal edge list of ``canonical_form``."""
+    return RGraph.from_masks(h.r, h.n, _search(h, _refine(h))[0])
 
 
 def relabel(h: RGraph, perm: Iterable[int]) -> RGraph:
@@ -251,20 +262,36 @@ def enumerate_rgraphs(
     """One representative per isomorphism class of r-graphs on exactly ``n``
     labeled vertices (isolated vertices included) satisfying ``predicate``.
 
-    Children are told apart by the refined certificate, and the first child
-    found in each class is kept; each level is then sorted by canonical form,
-    computed once per class.  Any exact certificate keeps the same first
-    child, and the sort gives the order of deduplicating by canonical form,
-    so the representatives and their order do not depend on the certificate.
+    Each class is returned in its certificate labeling (a fixed point of
+    ``canonical_relabel``), and the list is in increasing certificate order.
 
     The predicate must be hereditary: true of every graph isomorphic to a
     subgraph of a graph it holds for.  So a graph that fails is pruned with
     every supergraph the link search and later levels would build from it,
-    and isomorphic children get the same verdict.  A child whose link set
-    has a smaller image under the parent's automorphisms is isomorphic to the
-    child of that image, which the preorder of link sets reached earlier, and
-    so is every child whose link set extends it; so none of them is built or
-    checked.
+    and isomorphic children get the same verdict.
+
+    Exactness, by induction on the level.  The labelings that attain a
+    graph's certificate differ by its automorphisms, so the vertices they
+    label last form one orbit, the canonical orbit; the final beam holds one
+    such labeling per coset of the twin permutations, so the canonical orbit
+    is the set of twins of the beam's last vertices, which is what
+    ``register`` tests for the new vertex ``k``.  Existence: take a class on
+    ``k + 1`` vertices that satisfies the predicate, a graph ``g`` in it and
+    ``m`` in its canonical orbit.  The canonical parent ``g - m`` passes the
+    hereditary predicate, so its class is some parent ``p`` one level down.
+    Moving the link of ``m`` into ``p`` gives a link set whose orbit under
+    Aut(p) is tried exactly once, at its first set; that set and all its
+    prefixes are first of their orbits and span subgraphs of ``g``, so the
+    walk reaches it.  Its child is isomorphic to ``g`` by a map sending ``m``
+    to ``k``, so ``k`` is in the child's canonical orbit and the child is
+    accepted.  Uniqueness: two accepted children of one class both lose a
+    vertex of the canonical orbit at ``k``, so both come from the class of
+    the canonical parent, i.e. from the same ``p``; an isomorphism between
+    them maps canonical orbit onto canonical orbit, so after an automorphism
+    it fixes ``k`` and restricts to an automorphism of
+    ``p`` that maps one link set to the other, and both are first of that
+    orbit, hence equal.  A class accepted twice therefore breaks the theory
+    and raises ``SoundnessError``.
 
     The predicate is called as ``predicate(g, new_edge)``.  ``new_edge`` is 0
     only for a parent plus an isolated vertex, and then ``g`` needs a full
@@ -280,10 +307,10 @@ def enumerate_rgraphs(
     if n > limit:
         raise BudgetError(f"enumeration of {r}-graphs capped at n <= {limit}, got {n}")
 
-    # each class as (representative, final beam and twin classes of its
-    # certificate search), the latter kept for the class's automorphisms
+    # each class as (certificate, graph as built, final beam and twin classes
+    # of its certificate search), the last two kept for its automorphisms
     empty = RGraph(r, 0, ())
-    reps = [(empty, [()], equivalence_classes(empty))]
+    reps = [((), empty, [()], equivalence_classes(empty))]
     for k in range(n):
         out: dict[tuple[int, ...], tuple[RGraph, list[tuple[int, ...]], VertexPartition]] = {}
         pool = [c + (k,) for c in itertools.combinations(range(k), r - 1)]
@@ -291,16 +318,23 @@ def enumerate_rgraphs(
         index = {e: i for i, e in enumerate(pool)}
 
         def register(g: RGraph) -> None:
-            prefix, beam, eq = _search(g, _refine(g))
+            colour = _refine(g)
+            if colour[k] != max(colour):
+                return  # the last label goes to a vertex of the top cell
+            prefix, beam, eq = _search(g, colour)
+            twin = eq.assignment
+            if all(twin[pos[-1]] != twin[k] for pos in beam):
+                return  # k is not in the orbit of the canonical deletion vertex
             key = tuple(prefix)
-            if key not in out:
-                out[key] = (g, beam, eq)
+            if key in out:
+                raise SoundnessError(f"canonical augmentation accepted the class of {g.edges} twice")
+            out[key] = (g, beam, eq)
 
-        for base, base_beam, base_eq in reps:
+        for _, base, base_beam, base_eq in reps:
             # Aut(base) acting on link edges; a child whose link is not the
             # first of its orbit in the preorder below is isomorphic to an
-            # earlier child of this parent, so it cannot be the stored one, and
-            # neither can any child whose link extends it (see _first_in_orbit)
+            # earlier child of this parent by a map that fixes the new vertex,
+            # and so is every child whose link extends it (see _first_in_orbit)
             moves = []
             if len(pool) > 1:
                 for p in _generators(k, base_beam, base_eq):
@@ -322,8 +356,8 @@ def enumerate_rgraphs(
                     grow(i + 1, picked + (i,))
 
             grow(0, ())
-        reps = sorted(out.values(), key=lambda c: canonical_form(c[0]).key)
-    return [g for g, _, _ in reps]
+        reps = [(key,) + out[key] for key in sorted(out)]
+    return [RGraph.from_masks(r, n, key) for key, _, _, _ in reps]
 
 
 def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]]) -> bool:

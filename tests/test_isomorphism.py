@@ -5,7 +5,8 @@ import random
 import pytest
 
 from extremal import constructions as cons
-from extremal.errors import BudgetError
+from extremal import isomorphism
+from extremal.errors import BudgetError, SoundnessError
 from extremal.isomorphism import (
     _first_in_orbit,
     _refine,
@@ -115,9 +116,9 @@ def test_triangle_free_enumeration_counts():
     k3 = single_graph(cons.complete_graph(3))
     counts = [
         len(enumerate_rgraphs(n, 2, lambda g, e: is_free(g, k3, through=e)))
-        for n in range(1, 8)
+        for n in range(1, 10)
     ]
-    assert counts == [1, 2, 3, 7, 14, 38, 107]
+    assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 
 
 def test_enumeration_matches_labeled_dedup_oracle():
@@ -138,11 +139,17 @@ def test_enumeration_deterministic():
     assert [g.edges for g in a] == [g.edges for g in b]
 
 
+def certificate(h):
+    """The refined certificate, the key the enumerator orders its output by."""
+    return tuple(_search(h, _refine(h))[0])
+
+
 def dedupe_enumerate(n, r, predicate=None):
     """The enumerator as it was before orbit pruning: every admissible link
     of every parent, deduplicated by canonical form.  Kept as the oracle for
     the pruned enumerator; its predicate takes only the graph, so pruning
-    here always checks the whole graph."""
+    here always checks the whole graph.  It keeps representatives as found,
+    in canonical-form order, not in the enumerator's output contract."""
     reps = [RGraph(r, 0, ())]
     for k in range(n):
         out = {}
@@ -194,7 +201,28 @@ def test_orbit_pruning_keeps_representatives(n, r, fam):
     full = None if fam is None else (lambda g: is_free(g, fam))
     new = enumerate_rgraphs(n, r, rooted)
     old = dedupe_enumerate(n, r, full)
-    assert [g.edges for g in new] == [g.edges for g in old]
+    # the oracle's classes in the output contract: certificate labeling, in
+    # certificate order
+    expected = sorted((canonical_relabel(g) for g in old), key=certificate)
+    assert [g.edges for g in new] == [g.edges for g in expected]
+
+
+@pytest.mark.parametrize("n,r,fam", [(7, 2, None), (6, 3, None), (8, 2, K3), (7, 2, K4), (6, 3, SIGMA3)])
+def test_enumeration_emits_certificate_labelings_in_certificate_order(n, r, fam):
+    rooted = None if fam is None else (lambda g, e: is_free(g, fam, through=e))
+    reps = enumerate_rgraphs(n, r, rooted)
+    assert all(canonical_relabel(g) == g for g in reps)
+    keys = [certificate(g) for g in reps]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_accepting_a_class_twice_raises(monkeypatch):
+    # without the parent-side orbit pruning, two links in one orbit of the
+    # parent's automorphisms both pass the child-side test, and the duplicate
+    # certificate must fail loudly, also under python -O
+    monkeypatch.setattr(isomorphism, "_first_in_orbit", lambda t, moves: True)
+    with pytest.raises(SoundnessError, match="twice"):
+        enumerate_rgraphs(4, 2)
 
 
 def test_first_in_orbit_finds_the_least_set_and_is_prefix_closed():
@@ -235,8 +263,8 @@ def test_children_carry_the_views_of_a_validated_graph(n, r, fam):
         return fam is None or is_free(g, fam, through=e)
 
     reps = enumerate_rgraphs(n, r, predicate)
-    # the stored representatives are built children too
-    assert {id(g) for g in reps} <= {id(g) for g in built}
+    # each returned graph is a built child in its certificate labeling
+    assert set(reps) <= {canonical_relabel(g) for g in built}
 
 
 def test_automorphism_generators_on_random_graphs():
