@@ -288,10 +288,10 @@ def enumerate_rgraphs(
     vertex of the canonical orbit at ``k``, so both come from the class of
     the canonical parent, i.e. from the same ``p``; an isomorphism between
     them maps canonical orbit onto canonical orbit, so after an automorphism
-    it fixes ``k`` and restricts to an automorphism of
-    ``p`` that maps one link set to the other, and both are first of that
-    orbit, hence equal.  A class accepted twice therefore breaks the theory
-    and raises ``SoundnessError``.
+    it fixes ``k`` and restricts to an automorphism of ``p`` that maps one
+    link set to the other, and both are first of that orbit, hence equal.
+    A class accepted twice therefore breaks the theory and raises
+    ``SoundnessError``.
 
     The predicate is called as ``predicate(g, new_edge)``.  ``new_edge`` is 0
     only for a parent plus an isolated vertex, and then ``g`` needs a full
@@ -307,10 +307,12 @@ def enumerate_rgraphs(
     if n > limit:
         raise BudgetError(f"enumeration of {r}-graphs capped at n <= {limit}, got {n}")
 
-    # each class as (certificate, graph as built, final beam and twin classes
-    # of its certificate search), the last two kept for its automorphisms
+    # each class as (graph as built, final beam and twin classes of its
+    # certificate search), the latter kept for the class's automorphisms, and
+    # the certificates of the classes in the same order
     empty = RGraph(r, 0, ())
-    reps = [((), empty, [()], equivalence_classes(empty))]
+    reps = [(empty, [()], equivalence_classes(empty))]
+    keys: list[tuple[int, ...]] = [()]
     for k in range(n):
         out: dict[tuple[int, ...], tuple[RGraph, list[tuple[int, ...]], VertexPartition]] = {}
         pool = [c + (k,) for c in itertools.combinations(range(k), r - 1)]
@@ -327,10 +329,12 @@ def enumerate_rgraphs(
                 return  # k is not in the orbit of the canonical deletion vertex
             key = tuple(prefix)
             if key in out:
-                raise SoundnessError(f"canonical augmentation accepted the class of {g.edges} twice")
+                raise SoundnessError(
+                    f"canonical augmentation accepted the class of {g.edges} twice"
+                )
             out[key] = (g, beam, eq)
 
-        for _, base, base_beam, base_eq in reps:
+        for base, base_beam, base_eq in reps:
             # Aut(base) acting on link edges; a child whose link is not the
             # first of its orbit in the preorder below is isomorphic to an
             # earlier child of this parent by a map that fixes the new vertex,
@@ -356,8 +360,9 @@ def enumerate_rgraphs(
                     grow(i + 1, picked + (i,))
 
             grow(0, ())
-        reps = [(key,) + out[key] for key in sorted(out)]
-    return [RGraph.from_masks(r, n, key) for key, _, _, _ in reps]
+        keys = sorted(out)
+        reps = [out[key] for key in keys]
+    return [RGraph.from_masks(r, n, key) for key in keys]
 
 
 def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]]) -> bool:
