@@ -32,7 +32,6 @@ from .rgraph import (
     is_design_system,
     is_two_covered,
     mask_of,
-    shadow,
 )
 
 COMPLETE_BLOWUPS = "complete-blowups"
@@ -85,27 +84,26 @@ def two_covered_systems(r: int, max_pattern: int = 6) -> ClassSpec:
 def _proper_coloring(adj: Sequence[int], n: int, k: int) -> Optional[list[int]]:
     """Proper <= k coloring of a graph given as adjacency bitmasks, or None.
     Backtracking on most-constrained-vertex order with new-color symmetry
-    breaking."""
+    breaking; a color is tested against the bitmask of its class."""
     if k < 0:
         return None
-    order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     color = [-1] * n
+    members = [0] * min(k, n)  # at most n classes are ever opened
 
     def place(idx: int, used: int) -> bool:
         if idx == n:
             return True
         v = order[idx]
-        forbidden = 0
-        for u in range(n):
-            if (adj[v] >> u) & 1 and color[u] >= 0:
-                forbidden |= 1 << color[u]
-        top = min(k, used + 1)
-        for c in range(top):
-            if (forbidden >> c) & 1:
+        nbrs = adj[v]
+        for c in range(min(k, used + 1)):
+            if nbrs & members[c]:
                 continue
             color[v] = c
+            members[c] |= 1 << v
             if place(idx + 1, max(used, c + 1)):
                 return True
+            members[c] ^= 1 << v
             color[v] = -1
         return False
 
@@ -159,12 +157,11 @@ def color_classes(g: RGraph, k: int) -> Optional[VertexPartition]:
 def krl_coloring(h: RGraph, parts: int) -> Optional[VertexPartition]:
     """A partition into at most ``parts`` classes with every edge rainbow, or
     None.  An edge is rainbow iff its internal pairs are bichromatic, and the
-    internal pairs are exactly the pair shadow, so this is a proper coloring
-    of the shadow graph."""
+    internal pairs are exactly the pair shadow, whose adjacency is
+    ``covered_adj``, so this is a proper coloring of the shadow graph."""
     if parts < h.r:
         raise ValueError("need parts >= r")
-    pair_graph = h if h.r == 2 else shadow(h, h.r - 2)
-    sol = _proper_coloring(pair_graph.covered_adj, h.n, parts)
+    sol = _proper_coloring(h.covered_adj, h.n, parts)
     if sol is None:
         return None
     return VertexPartition(parts, tuple(sol))
@@ -672,22 +669,43 @@ def near_turan_check(h: RGraph, partition: VertexPartition, m: int, zeta: float)
 
 
 def vertex_deletion_distance(h: RGraph, spec: ClassSpec) -> int:
-    """Least number of vertex deletions landing in the hull (exact)."""
+    """Least number of vertex deletions landing in the hull (exact).
+
+    Each deletion set S is tested on the vertex set of ``h``: the edges that
+    meet S are dropped and the vertices of S stay behind, isolated.  That
+    graph is in the hull exactly when ``h - S`` is, because every hull here is
+    closed under removing isolated vertices (it is hereditary) and under
+    adding them: an isolated vertex can join any class of a complete blowup,
+    map to any vertex of a pattern, or sit on the far side of a
+    semibipartition, and the member it lies in grows with it.
+    """
+    lex = [(e, mask_of(e)) for e in h.edges]
     for k in range(h.n + 1):
         for combo in itertools.combinations(range(h.n), k):
-            if in_hull(delete_vertices(h, combo)[0], spec):
+            s = mask_of(combo)
+            rest = h._edge_subgraph(
+                tuple(e for e, m in lex if not m & s),
+                tuple(m for m in h.edge_masks if not m & s),
+            )
+            if in_hull(rest, spec):
                 return k
-    raise AssertionError("unreachable: deleting everything reaches the hull")
+    raise SoundnessError(f"deleting every vertex of {h!r} leaves it outside {spec.label}")
 
 
 def edge_deletion_distance(h: RGraph, spec: ClassSpec, node_budget: int = 2_000_000) -> tuple[int, bool]:
     """Least number of edge deletions landing in the hull, as ``(value,
     exact)``.  Minimizes violated edges over all class assignments by branch
     and bound; beyond the node budget the best bound so far is returned
-    flagged inexact."""
+    flagged inexact.
+
+    Vertices are placed in natural order and each edge is judged at its last
+    vertex, where it closes.  For complete blowups the classes are
+    interchangeable, so a vertex opens at most one new class; patterns keep
+    all their classes.  The budget counts nodes of this symmetry-broken
+    search, so a graph that exhausted it when every assignment was walked may
+    now finish exactly."""
     if spec.kind == COMPLETE_BLOWUPS:
-        targets: list[Optional[RGraph]] = [None]  # complete pattern, implicit
-        p_list = [spec.parts]
+        targets: list[tuple[Optional[RGraph], int]] = [(None, spec.parts)]  # complete pattern
     elif spec.kind == SEMIBIPARTITE:
         best = len(h.edges)
         for a_mask in range(1 << h.n):
@@ -697,52 +715,58 @@ def edge_deletion_distance(h: RGraph, spec: ClassSpec, node_budget: int = 2_000_
                 break
         return best, True
     else:
-        pats = _system_patterns(h.r, spec.max_pattern)
-        targets = list(pats)
-        p_list = [p.n for p in pats]
+        targets = [(pat, pat.n) for pat in _system_patterns(h.r, spec.max_pattern)]
 
+    n, r = h.n, h.r
+    closes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # other vertices, by last vertex
+    for e in h.edges:
+        closes[e[-1]].append(e[:-1])
     best = len(h.edges)
     nodes = 0
     exact = True
-    edges_at = [[] for _ in range(h.n)]
-    for idx, e in enumerate(h.edges):
-        for v in e:
-            edges_at[v].append(idx)
+    color = [0] * n
 
-    for target, p in zip(targets, p_list):
-        assign = [-1] * h.n
+    for target, p in targets:
+        full = (1 << p) - 1
+        # for a pattern: (r-1)-set of classes -> mask of the classes completing it to an edge
+        completes: dict[int, int] = {}
+        if target is not None:
+            for c, link in enumerate(target.link_masks):
+                for rest in link:
+                    completes[rest] = completes.get(rest, 0) | 1 << c
 
-        def violated_full(idx_edge: int) -> bool:
-            e = h.edges[idx_edge]
-            img = sorted({assign[v] for v in e})
-            if len(img) != h.r:
-                return True
-            if target is None:
-                return False  # complete pattern: any rainbow image is an edge
-            return not target.has_edge(img)
-
-        def walk(v: int, bad: int) -> None:
+        def walk(v: int, used: int, bad: int) -> None:
             nonlocal best, nodes, exact
             nodes += 1
             if nodes > node_budget:
                 exact = False
                 return
-            if bad >= best:
-                return
-            if v == h.n:
+            if v == n:
                 best = bad
                 return
-            for c in range(p):
-                assign[v] = c
-                extra = 0
-                for idx_edge in edges_at[v]:
-                    if all(assign[u] >= 0 for u in h.edges[idx_edge]):
-                        if violated_full(idx_edge):
-                            extra += 1
-                walk(v + 1, bad + extra)
-                assign[v] = -1
+            # edges closed here that are violated whatever the class, and for
+            # each other closed edge the mask of classes that would violate it
+            base = 0
+            misses = []
+            for others in closes[v]:
+                seen = 0
+                for u in others:
+                    seen |= 1 << color[u]
+                if seen.bit_count() < r - 1:
+                    base += 1
+                elif target is None:
+                    misses.append(seen)
+                else:
+                    misses.append(full & ~completes.get(seen, 0))
+            for c in range(min(p, used + 1) if target is None else p):
+                extra = base
+                for miss in misses:
+                    extra += miss >> c & 1
+                if bad + extra < best:
+                    color[v] = c
+                    walk(v + 1, max(used, c + 1), bad + extra)
 
-        walk(0, 0)
+        walk(0, 0, 0)
     return best, exact
 
 

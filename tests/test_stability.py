@@ -8,7 +8,9 @@ import pytest
 from extremal import constructions as cons
 from extremal.isomorphism import are_isomorphic
 from extremal.morphism import generalized_triangles, single_graph
-from extremal.rgraph import RGraph, VertexPartition, blowup, delete_vertices
+from extremal.errors import SoundnessError
+from extremal.isomorphism import enumerate_rgraphs
+from extremal.rgraph import RGraph, VertexPartition, blowup, delete_vertices, shadow
 from extremal.stability import (
     ABSENT,
     COUNTEREXAMPLE,
@@ -16,6 +18,7 @@ from extremal.stability import (
     VACUOUS,
     WITNESS_OK,
     _elementary_symmetric,
+    _system_patterns,
     check_vertex_extendable,
     chromatic_number,
     class_membership,
@@ -99,6 +102,48 @@ class TestKrlColoring:
         for n in range(3, 5):
             for g in all_3graphs_upto_6[n]:
                 assert (krl_coloring(g, 3) is None) == (rainbow_partition(g, 3) is None)
+
+
+    def test_partition_matches_scanning_coloring_on_all_small_graphs(self):
+        """The coloring tests each class by its bitmask; the oracle is the
+        same backtracking that scans every vertex for its color, run on the
+        pair shadow built as a graph.  The branch order is the same, so the
+        partitions must be equal, not merely both proper."""
+
+        def scanning_coloring(adj, n, k):
+            order = sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
+            color = [-1] * n
+
+            def place(idx, used):
+                if idx == n:
+                    return True
+                v = order[idx]
+                forbidden = 0
+                for u in range(n):
+                    if (adj[v] >> u) & 1 and color[u] >= 0:
+                        forbidden |= 1 << color[u]
+                for c in range(min(k, used + 1)):
+                    if (forbidden >> c) & 1:
+                        continue
+                    color[v] = c
+                    if place(idx + 1, max(used, c + 1)):
+                        return True
+                    color[v] = -1
+                return False
+
+            return tuple(color) if place(0, 0) else None
+
+        cases = [(g, parts) for n in range(1, 7) for g in enumerate_rgraphs(n, 2) for parts in (2, 3)]
+        cases += [(g, 3) for n in range(1, 6) for g in enumerate_rgraphs(n, 3)]
+        cases += [(g, 4) for n in range(1, 6) for g in enumerate_rgraphs(n, 3)]
+        for g, parts in cases:
+            pair_graph = g if g.r == 2 else shadow(g, g.r - 2)
+            want = scanning_coloring(pair_graph.covered_adj, g.n, parts)
+            got = krl_coloring(g, parts)
+            assert (got and got.assignment) == want, (g.edges, parts)
+            if g.r == 2:
+                got = color_classes(g, parts)
+                assert (got and got.assignment) == want, (g.edges, parts)
 
 
 class TestSemibipartition:
@@ -384,6 +429,93 @@ class TestDistances:
         t3 = cons.gen_triangle(3)
         d, exact = edge_deletion_distance(t3, two_covered_systems(3, 5))
         assert exact and d == 1
+
+
+    @staticmethod
+    def exhaustive_cases():
+        """Every class of graphs with n <= 6 against 2 and 3 parts, and of
+        3-graphs with n <= 5 against 3 parts and the two-covered patterns on
+        at most 7 vertices (the Fano plane is the one whose classes are not
+        interchangeable)."""
+        for n in range(1, 7):
+            for g in enumerate_rgraphs(n, 2):
+                yield g, complete_blowups(2, 2)
+                yield g, complete_blowups(2, 3)
+        for n in range(1, 6):
+            for g in enumerate_rgraphs(n, 3):
+                yield g, complete_blowups(3, 3)
+                yield g, two_covered_systems(3, 7)
+
+    @staticmethod
+    def edge_distance_by_assignments(h, spec):
+        """Fewest violated edges over all p^n class assignments, for every
+        target pattern: an edge is kept when its image is a pattern edge."""
+        if spec.kind == "complete-blowups":
+            patterns = [cons.complete_rgraph(spec.parts, h.r)]
+        else:
+            patterns = list(_system_patterns(h.r, spec.max_pattern))
+        return min(
+            sum(1 for e in h.edges if not pat.has_edge({a[v] for v in e}))
+            for pat in patterns
+            for a in itertools.product(range(pat.n), repeat=h.n)
+        )
+
+    @staticmethod
+    def vertex_distance_by_deletion(h, spec):
+        """The least k such that deleting (and relabeling) some k vertices
+        lands in the hull."""
+        for k in range(h.n + 1):
+            for combo in itertools.combinations(range(h.n), k):
+                if in_hull(delete_vertices(h, combo)[0], spec):
+                    return k
+        raise AssertionError("the edgeless graph is in every hull")
+
+    def test_distances_match_exhaustive_oracles(self):
+        checked = 0
+        for g, spec in self.exhaustive_cases():
+            edge, exact = edge_deletion_distance(g, spec)
+            assert exact
+            assert edge == self.edge_distance_by_assignments(g, spec), (g.edges, spec.label)
+            vertex = vertex_deletion_distance(g, spec)
+            assert vertex == self.vertex_distance_by_deletion(g, spec), (g.edges, spec.label)
+            assert vertex <= edge
+            checked += 1
+        assert checked == 2 * (1 + 2 + 4 + 11 + 34 + 156) + 2 * (1 + 1 + 2 + 5 + 34)
+
+    def test_pattern_classes_are_not_interchangeable(self):
+        """Every relabeling of the Fano plane is its own two-covered pattern,
+        at distance 0; a search that opened pattern classes in order only,
+        as it may for complete blowups, misses most of them."""
+        fano = _system_patterns(3, 7)[-1]
+        assert (fano.n, len(fano.edges)) == (7, 7)
+        rng = random.Random(7)
+        for _ in range(20):
+            perm = list(range(7))
+            rng.shuffle(perm)
+            h = RGraph(3, 7, tuple(tuple(perm[v] for v in e) for e in fano.edges))
+            assert edge_deletion_distance(h, two_covered_systems(3, 7)) == (0, True)
+
+    def test_node_budget_gives_an_inexact_upper_bound(self):
+        cases = [
+            (cycle(7), BIPARTITE),
+            (cons.turan_plus(6, 3), complete_blowups(2, 3)),
+            (cons.complete_graph(5), complete_blowups(2, 3)),
+            (cons.complete_rgraph(5, 3), complete_blowups(3, 3)),
+            (cons.complete_rgraph(5, 3), two_covered_systems(3, 4)),
+        ]
+        for g, spec in cases:
+            value, exact = edge_deletion_distance(g, spec)
+            assert exact and value > 0
+            for budget in (1, 2, 3):
+                bound, flag = edge_deletion_distance(g, spec, node_budget=budget)
+                assert not flag and bound >= value, (g.edges, spec.label, budget)
+
+    def test_vertex_distance_outside_every_hull_raises(self, monkeypatch):
+        import extremal.stability as stability
+
+        monkeypatch.setattr(stability, "in_hull", lambda h, spec: False)
+        with pytest.raises(SoundnessError):
+            vertex_deletion_distance(cycle(5), BIPARTITE)
 
 
 class TestScans:

@@ -9,8 +9,8 @@
 #
 # The list covers every subcommand: the criterion-12 set of
 # tests/test_acceptance.py plus larger enumerations (3-graphs included),
-# Turan numbers, a scan, both symmetrization modes and the three Lagrangian
-# routes.
+# Turan numbers, degree scans, vertex- and edge-deletion scans, both
+# symmetrization modes and the three Lagrangian routes.
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUTDIR" >&2
@@ -93,6 +93,14 @@ run ex8-k3 ex --n 8 --family k3 --method both --json ex8-k3.json --witness-dir w
 run ex6-sigma3 ex --n 6 --family sigma:3 --json ex6-sigma3.json --witness-dir wit6
 run scan-k4 scan --family k4 --class krl:2:3 --kind degree --n 6..7 --eps 0.1 \
   --json scan-k4.json --csv scan-k4.csv
+
+# deletion distances: vertex and edge scans of graphs and of 3-graphs
+for kind in vertex edge; do
+  run "scan-k3-$kind" scan --family k3 --class bipartite --kind "$kind" --n 5..7 \
+    --eps 0.1 --delta 0.1 --json "scan-k3-$kind.json" --csv "scan-k3-$kind.csv"
+done
+run scan-sigma3-edge scan --family sigma:3 --class krl:3:3 --kind edge --n 5..6 \
+  --eps 0.05 --delta 0.1 --json scan-sigma3-edge.json --csv scan-sigma3-edge.csv
 
 # symmetrization in both modes, and the three Lagrangian routes
 for mode in class vertex; do
