@@ -8,10 +8,11 @@ weights are Fractions or ints, which is how the blowup identity is checked
 without tolerances.
 
 The maximizer is honest about its limits: for at most ``support_limit``
-vertices it enumerates supports and runs a projected-gradient ascent on each
-(certificate gap 0 when every inner problem converged), beyond that it falls
-back to seeded multistart ascent and reports the complete-graph value as the
-remaining gap.
+vertices it enumerates the supports in which every pair of vertices lies in an
+edge inside the support (Frankl–Rödl) and runs a projected-gradient ascent on
+each (certificate gap 0 when every inner problem converged), beyond that it
+falls back to seeded multistart ascent and reports the complete-graph value as
+the remaining gap.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, factorial, prod, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .morphism import FamilySpec, free_representatives
-from .rgraph import RGraph
+from .rgraph import RGraph, mask_to_tuple
 
 SIMPLEX_TOL = 1e-12
 
@@ -73,20 +74,21 @@ def _edge_array(g: RGraph) -> np.ndarray:
 
 def _poly(E: np.ndarray, x: np.ndarray) -> float:
     """The float edge polynomial over an ``(m, r)`` edge array (0.0 for m = 0)."""
-    return float(np.prod(x[E], axis=1).sum())
+    return float(np.multiply.reduce(x[E], axis=1).sum())
 
 
 def _poly_grad(E: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Its gradient: each edge adds the product of its other weights to each
-    of its vertices, from prefix and suffix products (no division by zero)."""
+    of its vertices, from prefix and suffix products (no division by zero).
+    ``bincount`` sums the terms in edge order, as ``np.add.at`` did."""
     P = x[E]
-    left = np.ones_like(P)
-    left[:, 1:] = np.cumprod(P[:, :-1], axis=1)
-    right = np.ones_like(P)
-    right[:, :-1] = np.cumprod(P[:, :0:-1], axis=1)[:, ::-1]
-    grad = np.zeros(len(x))
-    np.add.at(grad, E, left * right)
-    return grad
+    left = np.empty_like(P)
+    left[:, 0] = 1.0
+    np.multiply.accumulate(P[:, :-1], axis=1, out=left[:, 1:])
+    right = np.empty_like(P)
+    right[:, -1] = 1.0
+    np.multiply.accumulate(P[:, :0:-1], axis=1, out=right[:, -2::-1])
+    return np.bincount(E.ravel(), (left * right).ravel(), len(x))
 
 
 def evaluate(g: RGraph, x) -> float | Fraction:
@@ -121,9 +123,9 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the standard simplex (sort-based)."""
     a = -np.sort(-v)
     cut = (np.cumsum(a) - 1.0) / np.arange(1, len(v) + 1)
-    for k in range(len(v) - 1, -1, -1):
-        if a[k] > cut[k]:
-            return np.maximum(v - cut[k], 0.0)
+    above = np.flatnonzero(a > cut)
+    if above.size:
+        return np.maximum(v - cut[above[-1]], 0.0)
     return np.full(len(v), 1.0 / len(v))
 
 
@@ -175,21 +177,6 @@ def semibipartite_residual(r: int, x: float) -> float:
 # maximization
 
 
-def _connected_support(edge_masks: list[int], support: int) -> bool:
-    verts = [v for v in range(support.bit_length()) if (support >> v) & 1]
-    if not verts:
-        return False
-    seen = 1 << verts[0]
-    frontier = True
-    while frontier:
-        frontier = False
-        for m in edge_masks:
-            if m & seen and m & ~seen:
-                seen |= m
-                frontier = True
-    return seen & support == support
-
-
 def _ascent(
     E: np.ndarray, x0: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, float, bool]:
@@ -199,9 +186,10 @@ def _ascent(
     for _ in range(max_iter):
         g = _poly_grad(E, x)
         free = x > 1e-14
-        mu = g[free].mean() if free.any() else 0.0
+        gf = g[free]
+        mu = gf.sum() / gf.size if gf.size else 0.0
         resid = np.where(free, g - mu, np.maximum(g - mu, 0.0))
-        if float(np.linalg.norm(resid)) <= tol:
+        if sqrt(resid @ resid) <= tol:
             converged = True
             break
         t = 1.0
@@ -232,14 +220,21 @@ def maximize(
     """Best simplex value found for the edge polynomial of ``g``.
 
     The uniform point and all unit vectors are always evaluated, so the result
-    dominates both.  Supports whose induced graph is edgeless, has an isolated
-    vertex, or is disconnected are skipped during support enumeration: their
-    optima are attained on smaller supports that are enumerated anyway.
+    dominates both.  Support enumeration ascends only the supports S in which
+    every pair of vertices lies in a common edge inside S, in increasing mask
+    order.  This loses nothing (Frankl and Rödl, *Hypergraphs do not jump*,
+    Combinatorica 4, 1984; for 2-graphs these supports are the cliques of
+    Motzkin and Straus, 1965).  Take an optimum x with minimal support S and
+    suppose i, j in S share no edge inside S.  No term of the polynomial then
+    holds both x_i and x_j, so it is linear along x + t(e_i - e_j), and moving
+    all of x_j onto i (or all of x_i onto j) loses no value.  The support
+    shrinks, against minimality.  So some optimum has a pair-covered support,
+    and the ascent on that support, started at its uniform point, looks for it.
     """
     m = g.n
     if m < 1:
         raise ValueError("maximize needs at least one vertex")
-    masks = list(g.edge_masks)
+    edges = [(mk, mask_to_tuple(mk)) for mk in g.edge_masks]
 
     best_x = np.full(m, 1.0 / m)
     best_val = float(evaluate(g, best_x))
@@ -254,27 +249,26 @@ def maximize(
     if m <= support_limit:
         method = "support-enumeration"
         for support in range(1, 1 << m):
-            sub_masks = [mk for mk in masks if mk & ~support == 0]
-            if not sub_masks:
+            inside = [(mk, vs) for mk, vs in edges if mk & ~support == 0]
+            if not inside:
                 continue
-            covered = 0
-            for mk in sub_masks:
-                covered |= mk
-            if covered != support or not _connected_support(sub_masks, support):
+            # reach[v]: the union of the edges inside the support through v
+            reach = [0] * m
+            for mk, vs in inside:
+                for v in vs:
+                    reach[v] |= mk
+            verts = mask_to_tuple(support)
+            if any(reach[v] != support for v in verts):
                 continue
-            verts = [v for v in range(m) if (support >> v) & 1]
             pos = {v: i for i, v in enumerate(verts)}
             k = len(verts)
-            E = np.array(
-                [[pos[v] for v in range(m) if (mk >> v) & 1] for mk in sub_masks],
-                dtype=np.intp,
-            )
+            E = np.array([[pos[v] for v in vs] for _, vs in inside], dtype=np.intp)
             x0 = np.full(k, 1.0 / k)
             x, fx, conv = _ascent(E, x0, tol, max_iter)
             all_converged = all_converged and conv
             if fx > best_val:
                 full = np.zeros(m)
-                full[verts] = x
+                full[list(verts)] = x
                 best_val, best_x = fx, full
         gap = 0.0 if all_converged else max(0.0, comb(m, g.r) / m**g.r - best_val)
     else:

@@ -703,12 +703,15 @@ def edge_deletion_distance(h: RGraph, spec: ClassSpec, node_budget: int = 2_000_
     interchangeable, so a vertex opens at most one new class; patterns keep
     all their classes.  The budget counts nodes of this symmetry-broken
     search, so a graph that exhausted it when every assignment was walked may
-    now finish exactly."""
+    now finish exactly.  Semibipartitions walk every set A of the vertices and
+    count each set against the budget."""
     if spec.kind == COMPLETE_BLOWUPS:
         targets: list[tuple[Optional[RGraph], int]] = [(None, spec.parts)]  # complete pattern
     elif spec.kind == SEMIBIPARTITE:
         best = len(h.edges)
         for a_mask in range(1 << h.n):
+            if a_mask >= node_budget:  # a_mask sets walked so far
+                return best, False
             bad = sum(1 for m in h.edge_masks if (m & a_mask).bit_count() != 1)
             best = min(best, bad)
             if best == 0:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from extremal import constructions as cons
 from extremal.lagrangian import (
     SimplexPoint,
+    _ascent,
+    _poly,
+    _poly_grad,
     evaluate,
     gradient,
     lambda_complete,
@@ -104,6 +108,59 @@ class TestGradient:
                 assert abs(grads[v] - fd) <= 1e-6
 
 
+def _add_at_poly_grad(E, x):
+    """The gradient kernel as first written, summing with ``np.add.at``."""
+    P = x[E]
+    left = np.ones_like(P)
+    left[:, 1:] = np.cumprod(P[:, :-1], axis=1)
+    right = np.ones_like(P)
+    right[:, :-1] = np.cumprod(P[:, :0:-1], axis=1)[:, ::-1]
+    grad = np.zeros(len(x))
+    np.add.at(grad, E, left * right)
+    return grad
+
+
+def _loop_projection(v):
+    """The simplex projection as first written, finding the cut by a loop."""
+    a = -np.sort(-v)
+    cut = (np.cumsum(a) - 1.0) / np.arange(1, len(v) + 1)
+    for k in range(len(v) - 1, -1, -1):
+        if a[k] > cut[k]:
+            return np.maximum(v - cut[k], 0.0)
+    return np.full(len(v), 1.0 / len(v))
+
+
+class TestKernelBits:
+    """The kernels return the same bits as the references they replaced, so
+    multistart ascents (and their payloads) are unchanged by the rewrite."""
+
+    @staticmethod
+    def points(seed):
+        """(edge array, point) pairs for r = 2, 3, 4, with zero weights and ties."""
+        rng = np.random.default_rng(seed)
+        for r in (2, 3, 4):
+            for m in range(r, 9):
+                pool = list(itertools.combinations(range(m), r))
+                for _ in range(15):
+                    edges = [e for e in pool if rng.random() < 0.5] or pool[:1]
+                    x = rng.dirichlet(np.ones(m))
+                    x[rng.random(m) < 0.3] = 0.0
+                    x[rng.random(m) < 0.3] = x[-1]
+                    yield np.array(edges, dtype=np.intp), x
+
+    def test_poly_and_gradient_match_references(self):
+        for E, x in self.points(8):
+            assert _poly(E, x) == float(np.prod(x[E], axis=1).sum())
+            assert np.array_equal(_poly_grad(E, x), _add_at_poly_grad(E, x))
+
+    def test_projection_matches_loop(self):
+        rng = np.random.default_rng(9)
+        for E, x in self.points(9):
+            g = _poly_grad(E, x)
+            for v in (x + g, x + 0.5 * g, x - g, np.round(4 * rng.normal(size=len(x))) / 4):
+                assert np.array_equal(project_to_simplex(v), _loop_projection(v))
+
+
 class TestProjection:
     def test_already_on_simplex(self):
         x = np.array([0.2, 0.3, 0.5])
@@ -167,6 +224,69 @@ class TestMaximize:
         assert res.method == "multistart-ascent"
         assert res.value <= float(lambda_complete(13, 2))
         assert abs(res.value - 1 / 3) <= 1e-6  # blowup of K3 keeps its value
+
+
+def _every_support_maximize(g, tol=1e-10, max_iter=10_000):
+    """The oracle for support enumeration: the uniform point, the unit vectors
+    and an ascent on every support that contains an edge, pair-covered or not,
+    read out as ``maximize`` reads out its best point."""
+    m = g.n
+    best_x = np.full(m, 1.0 / m)
+    best_val = float(evaluate(g, best_x))
+    for v in range(m):
+        unit = np.zeros(m)
+        unit[v] = 1.0
+        if float(evaluate(g, unit)) > best_val:
+            best_val, best_x = float(evaluate(g, unit)), unit
+    converged = True
+    for support in range(1, 1 << m):
+        verts = [v for v in range(m) if support >> v & 1]
+        pos = {v: i for i, v in enumerate(verts)}
+        inside = [[pos[v] for v in e] for e in g.edges if all(support >> v & 1 for v in e)]
+        if not inside:
+            continue
+        x0 = np.full(len(verts), 1.0 / len(verts))
+        x, fx, conv = _ascent(np.array(inside, dtype=np.intp), x0, tol, max_iter)
+        converged = converged and conv
+        if fx > best_val:
+            best_val, best_x = fx, np.zeros(m)
+            best_x[verts] = x
+    gap = 0.0 if converged else max(0.0, comb(m, g.r) / m**g.r - best_val)
+    point = SimplexPoint(tuple(float(t) for t in project_to_simplex(best_x)))
+    return float(evaluate(g, point)), converged, gap
+
+
+def _clique_number(g):
+    return max(
+        k
+        for k in range(1, g.n + 1)
+        for c in itertools.combinations(range(g.n), k)
+        if all(p in g.edges for p in itertools.combinations(c, 2))
+    )
+
+
+class TestPairCoveredSupports:
+    def test_against_every_support(self, all_graphs_upto_7, all_3graphs_upto_6):
+        """Ascending only the pair-covered supports gives what ascending every
+        support with an edge gives, on every class of 2-graphs with at most 6
+        vertices and of 3-graphs with at most 5; for 2-graphs that is the
+        Motzkin-Straus value (1 - 1/omega)/2."""
+        checked = 0
+        for graphs in [all_graphs_upto_7, all_3graphs_upto_6]:
+            for n, level in graphs.items():
+                if n > (6 if graphs is all_graphs_upto_7 else 5):
+                    continue
+                for g in level:
+                    res = maximize(g)
+                    value, converged, gap = _every_support_maximize(g)
+                    assert abs(res.value - value) <= 1e-12, g.edges
+                    assert (res.converged, res.gap) == (converged, gap), g.edges
+                    assert res.method == "support-enumeration"
+                    if g.r == 2:
+                        motzkin_straus = (1 - 1 / _clique_number(g)) / 2
+                        assert abs(res.value - motzkin_straus) <= 1e-12, g.edges
+                    checked += 1
+        assert checked == (1 + 2 + 4 + 11 + 34 + 156) + (1 + 1 + 2 + 5 + 34)
 
 
 class TestLambdaComplete:

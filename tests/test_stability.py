@@ -510,6 +510,23 @@ class TestDistances:
                 bound, flag = edge_deletion_distance(g, spec, node_budget=budget)
                 assert not flag and bound >= value, (g.edges, spec.label, budget)
 
+    def test_semibipartite_walk_keeps_to_the_node_budget(self):
+        """Every set A of the vertices counts against the budget: within it
+        the walk is exact, past it the best value so far comes back flagged
+        inexact.  The complete semibipartite 3-graph with A = {4, 5} is at
+        distance 0 only from the 49th set walked (mask 48); K^3_5 is exact
+        only once all 32 sets are walked, since its distance 4 is not 0."""
+        spec = semibipartite_class(3)
+        semi = cons.complete_semibipartite(2, 4, 3)
+        late = RGraph(3, 6, tuple(tuple(5 - v for v in e) for e in semi.edges))
+        for g, value, walked in [(late, 0, 49), (cons.complete_rgraph(5, 3), 4, 32)]:
+            assert edge_deletion_distance(g, spec) == (value, True)
+            assert edge_deletion_distance(g, spec, node_budget=walked) == (value, True)
+            for budget in (1, 2, 3, walked - 1):
+                bound, flag = edge_deletion_distance(g, spec, node_budget=budget)
+                assert not flag and bound >= value, (g.edges, budget)
+        assert edge_deletion_distance(late, spec, node_budget=48) == (4, False)
+
     def test_vertex_distance_outside_every_hull_raises(self, monkeypatch):
         import extremal.stability as stability
 

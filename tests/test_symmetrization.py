@@ -28,6 +28,7 @@ from extremal.symmetrization import (
 from conftest import cycle, random_free_rgraph
 
 K3FAM = single_graph(cons.complete_graph(3))
+K4FAM = single_graph(cons.complete_graph(4))
 SIGMA3 = generalized_triangles(3)
 
 
@@ -186,6 +187,14 @@ class TestExPatterns:
         res = ex_via_patterns(6, SIGMA3, 4)
         assert res.value == 8
         assert res.value == ex_bruteforce(6, SIGMA3).value
+
+    @pytest.mark.parametrize("n, fam, value", [(8, K3FAM, 16), (7, K4FAM, 16), (6, SIGMA3, 8)])
+    def test_heuristic_route_rounds_the_lagrangian_maximizer(self, n, fam, value):
+        """With room for no composition search, every pattern past one vertex
+        is sized by rounding its Lagrangian maximizer (``_rounded_candidates``)
+        and the +-1 cube around it; that still reaches ex(n)."""
+        res = ex_via_patterns(n, fam, exhaustive_limit=1)
+        assert res.method == "patterns-heuristic" and res.value == value
 
     def test_witnesses_free_with_value(self):
         res = ex_via_patterns(7, K3FAM, 4)
