@@ -236,8 +236,9 @@ def _every_support_maximize(g, tol=1e-10, max_iter=10_000):
     for v in range(m):
         unit = np.zeros(m)
         unit[v] = 1.0
-        if float(evaluate(g, unit)) > best_val:
-            best_val, best_x = float(evaluate(g, unit)), unit
+        uv = float(evaluate(g, unit))
+        if uv > best_val:
+            best_val, best_x = uv, unit
     converged = True
     for support in range(1, 1 << m):
         verts = [v for v in range(m) if support >> v & 1]
@@ -271,22 +272,18 @@ class TestPairCoveredSupports:
         support with an edge gives, on every class of 2-graphs with at most 6
         vertices and of 3-graphs with at most 5; for 2-graphs that is the
         Motzkin-Straus value (1 - 1/omega)/2."""
-        checked = 0
-        for graphs in [all_graphs_upto_7, all_3graphs_upto_6]:
-            for n, level in graphs.items():
-                if n > (6 if graphs is all_graphs_upto_7 else 5):
-                    continue
-                for g in level:
-                    res = maximize(g)
-                    value, converged, gap = _every_support_maximize(g)
-                    assert abs(res.value - value) <= 1e-12, g.edges
-                    assert (res.converged, res.gap) == (converged, gap), g.edges
-                    assert res.method == "support-enumeration"
-                    if g.r == 2:
-                        motzkin_straus = (1 - 1 / _clique_number(g)) / 2
-                        assert abs(res.value - motzkin_straus) <= 1e-12, g.edges
-                    checked += 1
-        assert checked == (1 + 2 + 4 + 11 + 34 + 156) + (1 + 1 + 2 + 5 + 34)
+        cases = [g for n in range(1, 7) for g in all_graphs_upto_7[n]]
+        cases += [g for n in range(1, 6) for g in all_3graphs_upto_6[n]]
+        assert len(cases) == (1 + 2 + 4 + 11 + 34 + 156) + (1 + 1 + 2 + 5 + 34)
+        for g in cases:
+            res = maximize(g)
+            value, converged, gap = _every_support_maximize(g)
+            assert abs(res.value - value) <= 1e-12, g.edges
+            assert (res.converged, res.gap) == (converged, gap), g.edges
+            assert res.method == "support-enumeration"
+            if g.r == 2:
+                motzkin_straus = (1 - 1 / _clique_number(g)) / 2
+                assert abs(res.value - motzkin_straus) <= 1e-12, g.edges
 
 
 class TestLambdaComplete:
