@@ -34,10 +34,13 @@ from the beam kept when the parent was accepted; link sets that are first of
 their orbit are closed under dropping the last element, so the walk cuts the
 whole subtree below a set that is not (orderly generation).  Child side: a
 child is accepted only when its new vertex lies in the orbit of the vertex
-that the certificate labeling puts last, its canonical deletion vertex.
-Refinement decides most candidates before any search, since the last label
-goes to a vertex of the top colour cell.  Each class is then accepted
-exactly once, so the dict keyed by certificate is only a check.  A child is
+that the certificate labeling puts first, its canonical deletion vertex.  The
+first label goes to a vertex of the bottom colour cell, which lies inside the
+minimum-degree cell, so the canonical parent of a graph ``G`` is ``G - v``
+for a vertex ``v`` of minimum degree.  A child whose new vertex is not of
+minimum degree is rejected before refinement, and refinement decides most of
+the rest before any search.  Each class is then accepted exactly once, so the
+dict keyed by certificate is only a check.  A child is
 built from its parent by a trusted constructor that carries the parent's
 bitmask views over, updated for the new link, instead of validating and
 deriving them again.  The predicate must be hereditary (closed under taking
@@ -59,7 +62,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable, Optional
 
@@ -102,19 +104,41 @@ def _refine(h: RGraph) -> list[int]:
     """Colour refinement from degrees: an ordered partition of the vertices,
     as a colour per vertex, that every isomorphism preserves.
 
-    A vertex's signature is its colour and the sorted multiset of the sorted
-    colour tuples of its co-members in each edge through it; the new colours
-    are the ranks of the distinct signatures.  Each round refines the last,
-    since a signature starts with the old colour, so the rounds stop when the
-    number of colours stops growing."""
+    The type of a link set of ``v`` (an edge through ``v`` minus ``v``) is
+    the sorted tuple of its colours.  A vertex's signature is its colour and,
+    over the types present in increasing order, minus the number of its link
+    sets of each type; the new colours are the ranks of the distinct
+    signatures.  For graphs the types are the cells, so the counts are
+    popcounts of ``covered_adj[v]`` masked by each cell.  Vertices of one
+    colour have equally many link sets, since colours refine degrees, so this
+    ranks them like the sorted lists of their link sets' types would: at the
+    least type whose counts differ, the vertex with more sets of that type has
+    the smaller list.  Each round refines the last, since a signature starts
+    with the old colour, so the rounds stop when the number of colours stops
+    growing."""
+    n = h.n
     colour = list(h.degrees)
     count = len(set(colour))
     while True:
-        around: list[list[tuple[int, ...]]] = [[] for _ in range(h.n)]
-        for e in h.edges:
-            for v in e:
-                around[v].append(tuple(sorted([colour[u] for u in e if u != v])))
-        sigs = [(colour[v], tuple(sorted(around[v]))) for v in range(h.n)]
+        if h.r == 2:
+            cells: dict[int, int] = {}
+            for v, c in enumerate(colour):
+                cells[c] = cells.get(c, 0) | (1 << v)
+            order = [cells[c] for c in sorted(cells)]
+            adj = h.covered_adj
+            sigs = [
+                (colour[v], tuple(-(adj[v] & cell).bit_count() for cell in order))
+                for v in range(n)
+            ]
+        else:
+            around: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+            for m in h.edge_masks:
+                members = sorted((colour[u], u) for u in mask_to_tuple(m))
+                for i, (_, v) in enumerate(members):
+                    t = tuple(c for j, (c, _) in enumerate(members) if j != i)
+                    around[v][t] = around[v].get(t, 0) + 1
+            types = sorted(set().union(*around))
+            sigs = [(colour[v], tuple(-a.get(t, 0) for t in types)) for v, a in enumerate(around)]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         colour = [rank[sig] for sig in sigs]
         if len(rank) == count:
@@ -191,7 +215,6 @@ def _search(
     return prefix, [pos for pos, _ in beam], eq
 
 
-@lru_cache(maxsize=1 << 17)
 def canonical_form(h: RGraph) -> CanonicalForm:
     prefix, beam, eq = _search(h, [0] * h.n)
     aut = len(beam)
@@ -272,12 +295,18 @@ def enumerate_rgraphs(
 
     Exactness, by induction on the level.  The labelings that attain a
     graph's certificate differ by its automorphisms, so the vertices they
-    label last form one orbit, the canonical orbit; the final beam holds one
+    label first form one orbit, the canonical orbit; the final beam holds one
     such labeling per coset of the twin permutations, so the canonical orbit
-    is the set of twins of the beam's last vertices, which is what
-    ``register`` tests for the new vertex ``k``.  Existence: take a class on
-    ``k + 1`` vertices that satisfies the predicate, a graph ``g`` in it and
-    ``m`` in its canonical orbit.  The canonical parent ``g - m`` passes the
+    is the set of twins of the beam's first vertices, which is what
+    ``register`` tests for the new vertex ``k``.  Label 0 goes to the bottom
+    colour cell, and that cell lies inside the minimum-degree cell: refinement
+    starts from the degrees, and each round ranks signatures that begin with
+    the old colour, so colour order refines degree order.  Hence ``register``
+    may reject ``k`` outright when its degree is not the minimum, or its
+    colour not the least, and every canonical parent ``g - m`` deletes a
+    vertex ``m`` of minimum degree.  Existence: take a class on ``k + 1``
+    vertices that satisfies the predicate, a graph ``g`` in it and ``m`` in
+    its canonical orbit.  The canonical parent ``g - m`` passes the
     hereditary predicate, so its class is some parent ``p`` one level down.
     Moving the link of ``m`` into ``p`` gives a link set whose orbit under
     Aut(p) is tried exactly once, at its first set; that set and all its
@@ -320,12 +349,15 @@ def enumerate_rgraphs(
         index = {e: i for i, e in enumerate(pool)}
 
         def register(g: RGraph) -> None:
+            degrees = g.degrees
+            if degrees[k] != min(degrees):
+                return  # the bottom cell lies inside the minimum-degree cell
             colour = _refine(g)
-            if colour[k] != max(colour):
-                return  # the last label goes to a vertex of the top cell
+            if colour[k] != min(colour):
+                return  # the first label goes to a vertex of the bottom cell
             prefix, beam, eq = _search(g, colour)
             twin = eq.assignment
-            if all(twin[pos[-1]] != twin[k] for pos in beam):
+            if all(twin[pos[0]] != twin[k] for pos in beam):
                 return  # k is not in the orbit of the canonical deletion vertex
             key = tuple(prefix)
             if key in out:

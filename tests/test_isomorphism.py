@@ -286,6 +286,58 @@ def refined(h):
     return _search(h, _refine(h))
 
 
+def _refine_oracle(h):
+    """Colour refinement as it was before the count signatures: a vertex's
+    signature is its colour and the sorted multiset of the sorted colour
+    tuples of its co-members in each edge through it."""
+    colour = list(h.degrees)
+    count = len(set(colour))
+    while True:
+        around = [[] for _ in range(h.n)]
+        for e in h.edges:
+            for v in e:
+                around[v].append(tuple(sorted([colour[u] for u in e if u != v])))
+        sigs = [(colour[v], tuple(sorted(around[v]))) for v in range(h.n)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colour = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return colour
+        count = len(rank)
+
+
+def test_refine_matches_the_sorted_tuple_oracle(all_graphs_upto_7, all_3graphs_upto_6):
+    # equal colour lists, not only equal partitions: the colours order the
+    # cells of the certificate search, so the certificates depend on them
+    for fixture in (all_graphs_upto_7, all_3graphs_upto_6):
+        for graphs in fixture.values():
+            for g in graphs:
+                assert _refine(g) == _refine_oracle(g)
+    rng = random.Random(37)
+    for _ in range(200):
+        r = rng.choice([2, 3, 4])
+        n = rng.randint(0, 9)
+        h = random_rgraph(rng, n, r, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        assert _refine(h) == _refine_oracle(h)
+
+
+def test_canonical_parent_deletes_a_minimum_degree_vertex(all_graphs_upto_7, all_3graphs_upto_6):
+    # label 0 of a certificate labeling is in the canonical orbit, so vertex
+    # 0 of each emitted class is a canonical deletion vertex; it must have
+    # minimum degree, and deleting it must give a class of the level below
+    cases = [(all_graphs_upto_7, 2), (all_3graphs_upto_6, 3)]
+    for top, fam in ((8, K3), (7, K4)):
+        pred = lambda g, e, fam=fam: is_free(g, fam, through=e)
+        cases.append(({n: enumerate_rgraphs(n, 2, pred) for n in range(1, top + 1)}, 2))
+    for levels, r in cases:
+        below = {RGraph(r, 0, ())}
+        for n in sorted(levels):
+            for g in levels[n]:
+                assert g.degrees[0] == g.min_degree()
+                rest = tuple(tuple(v - 1 for v in e) for e in g.edges if 0 not in e)
+                assert canonical_relabel(RGraph(r, n - 1, rest)) in below
+            below = set(levels[n])
+
+
 def test_certificate_separates_exactly_the_classes(all_graphs_upto_7, all_3graphs_upto_6):
     for fixture in (all_graphs_upto_7, all_3graphs_upto_6):
         for graphs in fixture.values():

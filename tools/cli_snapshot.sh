@@ -89,6 +89,8 @@ run enum-5-3 enum --n 5 --r 3 -o enum-5-3 --json enum-5-3.json
 run enum-6-3 enum --n 6 --r 3 -o enum-6-3 --json enum-6-3.json
 run enum-sigma3 enum --n 6 --r 3 --family sigma:3 -o enum-sigma3 --json enum-sigma3.json
 run enum-k4 enum --n 7 --r 2 --family k4 --json enum-k4.json
+# triangle-free graphs at the enumeration budget for graphs (n = 9)
+run enum-k3-9 enum --n 9 --r 2 --family k3 --json enum-k3-9.json
 run ex8-k3 ex --n 8 --family k3 --method both --json ex8-k3.json --witness-dir wit8
 run ex6-sigma3 ex --n 6 --family sigma:3 --json ex6-sigma3.json --witness-dir wit6
 run scan-k4 scan --family k4 --class krl:2:3 --kind degree --n 6..7 --eps 0.1 \
