@@ -1,29 +1,24 @@
 """Canonical labeling and isomorph-free enumeration for small r-graphs.
 
-The canonical form of a graph is the minimal edge list over all vertex
-relabelings, where edges are compared as bitmasks (so the edge order is
-colexicographic) and edge lists elementwise.  Minimality is computed exactly
-by a level-by-level search that keeps every partial relabeling achieving the
-minimal prefix; vertices with identical links are interchangeable and only
-one representative per class is branched on, which keeps the frontier small
-even for highly symmetric graphs.
+One certificate names each isomorphism class.  Colour refinement
+(``_refine``) splits the vertices into an ordered partition that every
+isomorphism preserves, and the certificate is the minimal edge list over the
+relabelings that place the cells in colour order, where edges are compared as
+bitmasks (so the edge order is colexicographic) and edge lists elementwise
+(the idea behind McKay and Piperno, "Practical graph isomorphism II", 2014).
+``_search(h, colour)`` computes it exactly, level by level: level ``k``
+branches only on the vertices of the ``k``-th smallest colour and keeps every
+partial relabeling that attains the minimal prefix; vertices with identical
+links are interchangeable and only one representative per class is branched
+on, which keeps the frontier small even for highly symmetric graphs.
+Isomorphic graphs get equal certificates because the partition is invariant,
+and graphs with equal certificates are isomorphic because both are
+relabelings of one edge list.  Twins share a colour, since swapping them is
+an automorphism, so the twin pruning stays valid under the colouring.
 
-Enumeration only has to tell classes apart, so it uses a second, cheaper
-certificate.  Colour refinement (``_refine``) splits the vertices into an
-ordered partition that every isomorphism preserves, and the certificate is
-the minimal edge list over the relabelings that place the cells in colour
-order (the idea behind McKay and Piperno, "Practical graph isomorphism II",
-2014).  Both come from one search routine, ``_search(h, colour)``, whose
-level ``k`` branches only on the vertices of the ``k``-th smallest colour;
-the canonical form is that search with every vertex coloured alike.
-Isomorphic graphs get equal certificates because the partition is
-invariant, and graphs with equal certificates are isomorphic because both
-are relabelings of one edge list.  Twins share a colour, since swapping them
-is an automorphism, so the twin pruning stays valid under any such colouring.
-
-The final beam of either search holds one minimal labeling per coset of the
-twin-class permutations, so it also yields generators of the automorphism
-group (``automorphism_generators``).
+The final beam holds one minimal labeling per coset of the twin-class
+permutations, so it also yields the order of the automorphism group
+(``canonical_form``) and generators of it (``automorphism_generators``).
 
 Enumeration grows graphs one vertex at a time by canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), with
@@ -51,8 +46,7 @@ could have created.
 Output contract: every graph that leaves enumeration, and every
 ``canonical_relabel``, is in its certificate labeling, and enumeration lists
 the classes in certificate order.  So output bytes depend only on the set of
-classes, not on which representative a search happened to build first, and
-enumeration never runs the costlier lex-minimal ``canonical_form``.
+classes, not on which representative a search happened to build first.
 
 Budgets are deliberate: the module refuses sizes it cannot handle exactly
 rather than degrading silently.
@@ -77,7 +71,8 @@ ENUM_BUDGET_DEFAULT = 6
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Isomorphism-class certificate: minimal representative edge list.
+    """Isomorphism-class certificate: the edges of the certificate labeling,
+    sorted as ``RGraph`` sorts them.
 
     Two graphs have equal canonical forms iff they are isomorphic (with equal
     ``r`` and ``n``).  ``automorphisms`` is the order of the automorphism
@@ -216,11 +211,11 @@ def _search(
 
 
 def canonical_form(h: RGraph) -> CanonicalForm:
-    prefix, beam, eq = _search(h, [0] * h.n)
+    prefix, beam, eq = _search(h, _refine(h))
     aut = len(beam)
     for c in eq.classes:
         aut *= factorial(len(c))
-    edges = tuple(mask_to_tuple(m) for m in prefix)
+    edges = tuple(sorted(mask_to_tuple(m) for m in prefix))
     return CanonicalForm(h.r, h.n, edges, aut)
 
 
@@ -234,8 +229,6 @@ def automorphism_generators(h: RGraph) -> list[tuple[int, ...]]:
     the maps from the first labeling to each other one, together with the
     transpositions of consecutive twins, generate the group.  None of them is
     the identity, so the list is empty exactly when the group is trivial.
-    The search is the refined one: automorphisms preserve the refined
-    colouring, so its beam is as good and usually much narrower.
     """
     _, beam, eq = _search(h, _refine(h))
     return _generators(h.n, beam, eq)
@@ -257,12 +250,11 @@ def _generators(n: int, beam: list[tuple[int, ...]], eq: VertexPartition) -> lis
 
 
 def canonical_relabel(h: RGraph) -> RGraph:
-    """``h`` in its certificate labeling: the relabeling whose edge masks are
-    the refined certificate.  Isomorphic graphs give the same graph, and
+    """``h`` in its certificate labeling, with the edges of
+    ``canonical_form(h)``.  Isomorphic graphs give the same graph, and
     ``enumerate_rgraphs`` returns only such fixed points, so enumeration
-    output, ``ex`` witnesses and scan counterexamples share one labeling.  It
-    is not the lex-minimal edge list of ``canonical_form``."""
-    return RGraph.from_masks(h.r, h.n, _search(h, _refine(h))[0])
+    output, ``ex`` witnesses and scan counterexamples share one labeling."""
+    return RGraph(h.r, h.n, canonical_form(h).edges)
 
 
 def relabel(h: RGraph, perm: Iterable[int]) -> RGraph:

@@ -18,7 +18,9 @@ scan the whole graph.
 ``free_representatives(n, fam)`` is the one source of family-free graphs:
 the isomorph-free enumeration pruned by that rooted check, cached per
 ``(n, fam)``.  Exact Turan numbers, scans, Lagrangian bounds, the
-blowup-invariance check and ``enum --family`` all read it.
+blowup-invariance check and ``enum --family`` all read it, and so does
+``two_covered_free_patterns``, the patterns of the pattern route to Turan
+numbers and of the two-covered systems' hull.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetError
 from .isomorphism import canonical_form, enumerate_rgraphs
-from .rgraph import RGraph, induced, mask_of, mask_to_tuple
+from .rgraph import RGraph, induced, is_two_covered, mask_of, mask_to_tuple
 
 EXPLICIT = "explicit"
 GEN_TRIANGLE = "generalized-triangle"
@@ -323,6 +326,17 @@ def free_representatives(n: int, fam: FamilySpec) -> tuple[RGraph, ...]:
     return tuple(enumerate_rgraphs(n, fam.r, lambda g, e: is_free(g, fam, through=e)))
 
 
+@lru_cache(maxsize=32)
+def two_covered_free_patterns(fam: FamilySpec, p_max: int) -> tuple[RGraph, ...]:
+    """Family-free patterns on up to ``p_max`` vertices in which every vertex
+    pair shares an edge, in order of size and then of certificate (cached).
+    Two-coveredness is not subgraph-closed, so it is filtered after
+    enumeration rather than used as a pruning predicate."""
+    return tuple(
+        g for p in range(1, p_max + 1) for g in free_representatives(p, fam) if is_two_covered(g)
+    )
+
+
 def is_hom_free(h: RGraph, fam: FamilySpec) -> bool:
     """True iff no family member admits a homomorphism into ``h``.
 
@@ -374,8 +388,6 @@ def _weak_expansion_members(base: RGraph, budget: int = 200_000) -> tuple[RGraph
     total_n = base.n + extra * len(pairs)
     if total_n > 64:
         raise BudgetError("weak-expansion member universe exceeds 64 vertices")
-    from math import comb
-
     count = 1
     for _ in pairs:
         count *= comb(total_n - 2, extra)

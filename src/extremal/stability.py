@@ -17,13 +17,18 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, prod, sqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import SoundnessError
-from .isomorphism import enumerate_rgraphs
-from .morphism import FamilySpec, free_representatives, has_homomorphism, is_free
+from .morphism import (
+    FamilySpec,
+    free_representatives,
+    has_homomorphism,
+    is_free,
+    single_graph,
+    two_covered_free_patterns,
+)
 from .rgraph import (
     RGraph,
     VertexPartition,
@@ -253,17 +258,12 @@ def semibipartition(h: RGraph) -> Optional[tuple[frozenset[int], frozenset[int]]
 # ---------------------------------------------------------------------------
 # membership and hulls
 
-@lru_cache(maxsize=32)
-def _system_patterns(r: int, p_max: int) -> tuple[RGraph, ...]:
-    """Two-covered patterns in which every (r-1)-set lies in at most one edge,
-    up to isomorphism, on at most ``p_max`` vertices (cached).  The
-    single-vertex pattern hosts the edgeless graphs."""
-    pats: list[RGraph] = [RGraph(r, 1, ())]
-    for p in range(r, p_max + 1):
-        for g in enumerate_rgraphs(p, r, lambda x, _: is_design_system(x, r - 1)):
-            if is_two_covered(g):
-                pats.append(g)
-    return tuple(pats)
+def _system_family(r: int) -> FamilySpec:
+    """Two r-edges sharing r - 1 vertices.  A graph is free of it exactly
+    when every (r-1)-set lies in at most one edge, so its two-covered free
+    patterns are the patterns of the two-covered systems; the single-vertex
+    pattern hosts the edgeless graphs."""
+    return single_graph(RGraph(r, r + 1, (tuple(range(r)), tuple(range(1, r + 1)))))
 
 
 def _quotient(h: RGraph) -> RGraph:
@@ -303,7 +303,8 @@ def in_hull(h: RGraph, spec: ClassSpec) -> bool:
         return krl_coloring(h, spec.parts) is not None
     if spec.kind == SEMIBIPARTITE:
         return semibipartition(h) is not None
-    return any(has_homomorphism(h, p) is not None for p in _system_patterns(h.r, spec.max_pattern))
+    patterns = two_covered_free_patterns(_system_family(h.r), spec.max_pattern)
+    return any(has_homomorphism(h, p) is not None for p in patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +719,8 @@ def edge_deletion_distance(h: RGraph, spec: ClassSpec, node_budget: int = 2_000_
                 break
         return best, True
     else:
-        targets = [(pat, pat.n) for pat in _system_patterns(h.r, spec.max_pattern)]
+        patterns = two_covered_free_patterns(_system_family(h.r), spec.max_pattern)
+        targets = [(pat, pat.n) for pat in patterns]
 
     n, r = h.n, h.r
     closes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # other vertices, by last vertex

@@ -21,15 +21,14 @@ from math import comb
 from typing import Iterable, Optional
 
 from .errors import SoundnessError
-from .isomorphism import CANONICAL_MAX_N, canonical_form
-from .morphism import FamilySpec, free_representatives, is_free
+from .isomorphism import CANONICAL_MAX_N, canonical_form, canonical_relabel
+from .morphism import FamilySpec, free_representatives, is_free, two_covered_free_patterns
 from .rgraph import (
     RGraph,
     bit,
     blowup,
     class_energy,
     equivalence_classes,
-    is_two_covered,
     mask_of,
     pair_covered,
 )
@@ -195,18 +194,6 @@ def ex_bruteforce(n: int, fam: FamilySpec) -> ExResult:
     return ExResult(n, fam, value, witnesses, "bruteforce")
 
 
-def two_covered_free_patterns(fam: FamilySpec, p_max: int) -> tuple[RGraph, ...]:
-    """Family-free patterns on up to ``p_max`` vertices in which every vertex
-    pair shares an edge.  Two-coveredness is not subgraph-closed, so it is
-    filtered after enumeration rather than used as a pruning predicate."""
-    out = []
-    for p in range(1, p_max + 1):
-        for g in free_representatives(p, fam):
-            if is_two_covered(g):
-                out.append(g)
-    return tuple(out)
-
-
 def _compositions(total: int, parts: int):
     """Positive integer vectors of the given length summing to ``total``."""
     if parts == 1:
@@ -263,7 +250,9 @@ def ex_via_patterns(
     for pat, sizes in best:
         g, _ = blowup(pat, sizes)
         if g.n <= CANONICAL_MAX_N:
-            key = canonical_form(g).key
+            # the certificate labeling, keyed as enumeration orders classes
+            g = canonical_relabel(g)
+            key = tuple(sorted(g.edge_masks))
         else:
             key = (canonical_form(pat).key, tuple(sorted(sizes)))
         if key not in witnesses:

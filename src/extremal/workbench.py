@@ -14,6 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -21,9 +22,12 @@ from . import __version__
 from . import constructions as cons
 from . import hgr
 from .errors import FormatError
-from .isomorphism import canonical_relabel, enumerate_rgraphs
+from .isomorphism import enumerate_rgraphs
 from .lagrangian import maximize
 from .morphism import (
+    CANCELLATIVE,
+    EXPLICIT,
+    GEN_TRIANGLE,
     FamilySpec,
     cancellative_family,
     explicit_family,
@@ -111,15 +115,12 @@ def parse_class(text: str) -> ClassSpec:
 
 def preset_pi(fam: FamilySpec) -> Optional[Fraction]:
     """Exact limiting densities for the stock families, None when unknown."""
-    if fam.kind == "explicit" and len(fam.members) == 1:
+    if fam.kind == EXPLICIT and len(fam.members) == 1:
         f = fam.members[0]
         if f.r == 2 and len(f.edges) == (f.n * (f.n - 1)) // 2 and f.n >= 3:
             return 1 - Fraction(1, f.n - 1)  # complete graph on f.n vertices
-    if fam.kind in ("generalized-triangle", "cancellative") and fam.r in (3, 4):
-        from math import factorial
-
-        r = fam.r
-        return Fraction(factorial(r), r**r)
+    if fam.kind in (GEN_TRIANGLE, CANCELLATIVE) and fam.r in (3, 4):
+        return Fraction(factorial(fam.r), fam.r**fam.r)
     return None
 
 
@@ -161,7 +162,7 @@ def op_ex(n: int, family: str, method: str, p_max: Optional[int]) -> dict:
         "family": family,
         "method": res.method,
         "value": res.value,
-        "witnesses": [hgr.to_json_obj(canonical_relabel(w)) for w in res.witnesses],
+        "witnesses": [hgr.to_json_obj(w) for w in res.witnesses],
     }
 
 
@@ -390,8 +391,8 @@ _DISPATCH: dict[str, Callable[..., dict]] = {
 def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
     """Execute a config and persist any requested outputs.
 
-    ``outputs`` maps logical names to paths: ``json`` stores the canonical
-    payload; other names are command-specific (witness files for ``ex``).
+    ``outputs`` maps logical names to paths.  The one name is ``json``, which
+    stores the canonical payload; any other name raises ``FormatError``.
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")

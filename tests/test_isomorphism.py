@@ -33,14 +33,31 @@ def naive_minimum(h: RGraph) -> list[int]:
     return best
 
 
+def lex_minimal(h: RGraph):
+    """The uncoloured search: the lex-minimal edge masks over all relabelings,
+    the final beam and the twin classes.  The library only runs the
+    colour-refined search, so this is the tests' independent oracle."""
+    return _search(h, [0] * h.n)
+
+
+def group_order(beam, eq) -> int:
+    return len(beam) * math.prod(math.factorial(len(c)) for c in eq.classes)
+
+
 def test_matches_naive_minimum_on_random_graphs():
     rng = random.Random(11)
+    graphs = []
     for _ in range(150):
         r = rng.choice([2, 3, 4])
         n = rng.randint(r, 6)
         h = random_rgraph(rng, n, r, 0.45)
-        mine = sorted(mask_of(e) for e in canonical_form(h).edges)
-        assert mine == naive_minimum(h)
+        assert lex_minimal(h)[0] == naive_minimum(h)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        graphs += [h, relabel(h, perm)]
+    # the certificates split the graphs into exactly the naive classes
+    pairs = {(canonical_form(g).key, (g.r, g.n, tuple(naive_minimum(g)))) for g in graphs}
+    assert len(pairs) == len({k for k, _ in pairs}) == len({m for _, m in pairs})
 
 
 def test_relabel_invariance():
@@ -141,10 +158,10 @@ def test_enumeration_deterministic():
 
 def dedupe_enumerate(n, r, predicate=None):
     """The enumerator as it was before orbit pruning: every admissible link
-    of every parent, deduplicated by canonical form.  Kept as the oracle for
-    the pruned enumerator; its predicate takes only the graph, so pruning
-    here always checks the whole graph.  It keeps representatives as found,
-    in canonical-form order, not in the enumerator's output contract."""
+    of every parent, deduplicated by the lex-minimal edge list.  Kept as the
+    oracle for the pruned enumerator; its predicate takes only the graph, so
+    pruning here always checks the whole graph.  It keeps representatives as
+    found, in lex-minimal order, not in the enumerator's output contract."""
     reps = [RGraph(r, 0, ())]
     for k in range(n):
         out = {}
@@ -155,7 +172,7 @@ def dedupe_enumerate(n, r, predicate=None):
                 g = RGraph(r, k + 1, base.edges + chosen)
                 if predicate is not None and not predicate(g):
                     return
-                out.setdefault(canonical_form(g).key, g)
+                out.setdefault(tuple(lex_minimal(g)[0]), g)
                 for i in range(start, len(pool)):
                     grow(i + 1, chosen + (pool[i],))
 
@@ -343,10 +360,19 @@ def test_certificate_separates_exactly_the_classes(all_graphs_upto_7, all_3graph
         for graphs in fixture.values():
             key_of = {}
             for g in graphs:
-                key = canonical_form(g).key
+                key = tuple(lex_minimal(g)[0])
                 assert key_of.setdefault(tuple(refined(g)[0]), key) == key
             # the fixture holds one graph per class, so no two may share a certificate
             assert len(key_of) == len(graphs)
+
+
+def test_canonical_form_is_the_certificate(all_graphs_upto_7, all_3graphs_upto_6):
+    for fixture in (all_graphs_upto_7, all_3graphs_upto_6):
+        for graphs in fixture.values():
+            for g in graphs:
+                form = canonical_form(g)
+                assert sorted(mask_of(e) for e in form.edges) == refined(g)[0]
+                assert canonical_relabel(g).edges == form.edges
 
 
 def test_certificate_invariant_under_relabeling():
@@ -368,7 +394,7 @@ def test_refined_beam_gives_the_group(all_graphs_upto_7, all_3graphs_upto_6):
         for graphs in fixture.values():
             for g in graphs:
                 _, beam, eq = refined(g)
-                order = len(beam) * math.prod(math.factorial(len(c)) for c in eq.classes)
-                assert order == canonical_form(g).automorphisms
+                order = group_order(*lex_minimal(g)[1:])
+                assert group_order(beam, eq) == canonical_form(g).automorphisms == order
                 if g.n < 7:  # the closure over the graphs on 7 vertices takes about a minute
                     assert_generates_automorphisms(g)

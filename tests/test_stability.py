@@ -7,10 +7,18 @@ import pytest
 
 from extremal import constructions as cons
 from extremal.isomorphism import are_isomorphic
-from extremal.morphism import generalized_triangles, single_graph
+from extremal.morphism import generalized_triangles, single_graph, two_covered_free_patterns
 from extremal.errors import SoundnessError
 from extremal.isomorphism import enumerate_rgraphs
-from extremal.rgraph import RGraph, VertexPartition, blowup, delete_vertices, shadow
+from extremal.rgraph import (
+    RGraph,
+    VertexPartition,
+    blowup,
+    delete_vertices,
+    is_design_system,
+    is_two_covered,
+    shadow,
+)
 from extremal.stability import (
     ABSENT,
     COUNTEREXAMPLE,
@@ -18,7 +26,7 @@ from extremal.stability import (
     VACUOUS,
     WITNESS_OK,
     _elementary_symmetric,
-    _system_patterns,
+    _system_family,
     check_vertex_extendable,
     chromatic_number,
     class_membership,
@@ -453,7 +461,7 @@ class TestDistances:
         if spec.kind == "complete-blowups":
             patterns = [cons.complete_rgraph(spec.parts, h.r)]
         else:
-            patterns = list(_system_patterns(h.r, spec.max_pattern))
+            patterns = list(two_covered_free_patterns(_system_family(h.r), spec.max_pattern))
         return min(
             sum(1 for e in h.edges if not pat.has_edge({a[v] for v in e}))
             for pat in patterns
@@ -482,11 +490,23 @@ class TestDistances:
             checked += 1
         assert checked == 2 * (1 + 2 + 4 + 11 + 34 + 156) + 2 * (1 + 1 + 2 + 5 + 34)
 
+    @pytest.mark.parametrize("r, p_max", [(2, 8), (3, 7), (4, 6)])
+    def test_system_patterns_are_the_two_covered_designs(self, r, p_max):
+        """Free of two edges sharing r - 1 vertices is every (r-1)-set in at
+        most one edge, so the hull patterns are the two-covered designs."""
+        designs = [RGraph(r, 1, ())] + [
+            g
+            for p in range(r, p_max + 1)
+            for g in enumerate_rgraphs(p, r, lambda x, _: is_design_system(x, r - 1))
+            if is_two_covered(g)
+        ]
+        assert two_covered_free_patterns(_system_family(r), p_max) == tuple(designs)
+
     def test_pattern_classes_are_not_interchangeable(self):
         """Every relabeling of the Fano plane is its own two-covered pattern,
         at distance 0; a search that opened pattern classes in order only,
         as it may for complete blowups, misses most of them."""
-        fano = _system_patterns(3, 7)[-1]
+        fano = two_covered_free_patterns(_system_family(3), 7)[-1]
         assert (fano.n, len(fano.edges)) == (7, 7)
         rng = random.Random(7)
         for _ in range(20):

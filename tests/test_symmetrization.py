@@ -6,7 +6,13 @@ from extremal import constructions as cons
 from extremal import symmetrization
 from extremal.errors import SoundnessError
 from extremal.isomorphism import are_isomorphic
-from extremal.morphism import generalized_triangles, is_free, single_graph, weak_expansions
+from extremal.morphism import (
+    generalized_triangles,
+    is_free,
+    single_graph,
+    two_covered_free_patterns,
+    weak_expansions,
+)
 from extremal.rgraph import (
     RGraph,
     class_energy,
@@ -21,7 +27,6 @@ from extremal.symmetrization import (
     ex_bruteforce,
     ex_via_patterns,
     symmetrize,
-    two_covered_free_patterns,
     vertex_symmetrize_step,
 )
 
@@ -223,3 +228,13 @@ class TestBothRoutes:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             ex(4, K3FAM, method="magic")
+
+    @pytest.mark.parametrize(
+        "n, fam",
+        [(n, K3FAM) for n in range(3, 10)]
+        + [(n, K4FAM) for n in range(4, 9)]
+        + [(n, SIGMA3) for n in range(4, 8)],
+    )
+    def test_routes_give_the_same_witnesses(self, n, fam):
+        # both routes emit each class in its certificate labeling
+        assert ex_via_patterns(n, fam).witnesses == ex_bruteforce(n, fam).witnesses

@@ -139,6 +139,16 @@ class TestCli:
         witness = hgr.load(next(out.glob("*.hgr")))
         assert are_isomorphic(witness, cons.turan_graph(5, 2))
 
+    def test_ex_patterns_past_the_canonical_budget(self, runner, tmp_path):
+        # witnesses on more vertices than canonical_form supports leave unrelabeled
+        out = tmp_path / "ex11.json"
+        args = ["ex", "--n", "11", "--family", "k3", "--method", "patterns", "--pmax", "3"]
+        res = runner.invoke(main, args + ["--json", str(out)])
+        assert res.exit_code == 0, res.output
+        payload = json.loads(out.read_text())
+        assert payload["value"] == 30
+        assert [w["n"] for w in payload["witnesses"]] == [11]
+
     def test_lagrangian_csv(self, runner, tmp_path):
         p = tmp_path / "k3.hgr"
         hgr.dump(cons.complete_graph(3), p)

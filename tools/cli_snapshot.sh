@@ -9,8 +9,9 @@
 #
 # The list covers every subcommand: the criterion-12 set of
 # tests/test_acceptance.py plus larger enumerations (3-graphs included),
-# Turan numbers, degree scans, vertex- and edge-deletion scans, both
-# symmetrization modes and the three Lagrangian routes.
+# Turan numbers by both routes and by each alone, degree scans, vertex- and
+# edge-deletion scans, both symmetrization modes and the three Lagrangian
+# routes.
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUTDIR" >&2
@@ -93,6 +94,13 @@ run enum-k4 enum --n 7 --r 2 --family k4 --json enum-k4.json
 run enum-k3-9 enum --n 9 --r 2 --family k3 --json enum-k3-9.json
 run ex8-k3 ex --n 8 --family k3 --method both --json ex8-k3.json --witness-dir wit8
 run ex6-sigma3 ex --n 6 --family sigma:3 --json ex6-sigma3.json --witness-dir wit6
+# each route of ex on its own; the pattern route also past the canonical budget
+run ex8-k3-patterns ex --n 8 --family k3 --method patterns --json ex8-k3-patterns.json
+run ex8-k3-brute ex --n 8 --family k3 --method brute --json ex8-k3-brute.json
+run ex6-sigma3-patterns ex --n 6 --family sigma:3 --method patterns \
+  --json ex6-sigma3-patterns.json
+run ex11-k3-patterns ex --n 11 --family k3 --method patterns --pmax 3 \
+  --json ex11-k3-patterns.json
 run scan-k4 scan --family k4 --class krl:2:3 --kind degree --n 6..7 --eps 0.1 \
   --json scan-k4.json --csv scan-k4.csv
 
