@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetError, SoundnessError
@@ -271,11 +271,26 @@ def are_isomorphic(a: RGraph, b: RGraph) -> bool:
     return canonical_form(a).key == canonical_form(b).key
 
 
+def check_enum_budget(n: int, r: int) -> None:
+    """Raise ``BudgetError`` when exhaustive enumeration of ``r``-graphs on
+    ``n`` vertices exceeds ``ENUM_BUDGET``."""
+    limit = ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
+    if n > limit:
+        raise BudgetError(f"enumeration of {r}-graphs capped at n <= {limit}, got {n}")
+
+
 def enumerate_rgraphs(
-    n: int, r: int, predicate: Optional[Callable[[RGraph, int], bool]] = None
+    n: int,
+    r: int,
+    predicate: Optional[Callable[[RGraph, int], bool]] = None,
+    *,
+    min_degree: int = 0,
+    min_edges: int = 0,
 ) -> list[RGraph]:
     """One representative per isomorphism class of r-graphs on exactly ``n``
-    labeled vertices (isolated vertices included) satisfying ``predicate``.
+    labeled vertices (isolated vertices included) satisfying ``predicate``,
+    with minimum degree at least ``min_degree`` and at least ``min_edges``
+    edges.
 
     Each class is returned in its certificate labeling (a fixed point of
     ``canonical_relabel``), and the list is in increasing certificate order.
@@ -284,6 +299,28 @@ def enumerate_rgraphs(
     subgraph of a graph it holds for.  So a graph that fails is pruned with
     every supergraph the link search and later levels would build from it,
     and isomorphic children get the same verdict.
+
+    The gates ``min_degree = d`` and ``min_edges = L`` are exact: the result
+    is the ungated list filtered to ``min_degree() >= d`` and
+    ``len(edges) >= L``, in the same order, but a class on ``j < n``
+    vertices that no such graph descends from is dropped with everything
+    that would be built from it (as McKay's ``geng -d`` does).  A class on
+    ``j`` vertices is kept only if its minimum degree is at least
+    ``d - sum(C(i - 2, r - 2) for i in j+1..n)`` and it has at least
+    ``ceil(L * C(j, r) / C(n, r))`` edges; ``register`` tests both before
+    refinement.  Degree gate: deleting a vertex from a graph on ``i``
+    vertices lowers every other degree by at most ``C(i - 2, r - 2)``, the
+    number of edges through two given vertices, so every subgraph on ``j``
+    vertices of a graph with minimum degree ``d`` passes, the canonical
+    ancestor included.  Edge gate: a vertex of minimum degree in a graph on
+    ``i`` vertices with ``e`` edges has degree at most ``r * e / i``, since
+    the degrees sum to ``r * e``; so the canonical parent, which deletes such
+    a vertex, keeps at least ``e * (1 - r / i) = e * C(i - 1, r) / C(i, r)``
+    edges, and by induction the canonical ancestor on ``j`` vertices of a
+    graph with ``e >= L`` has at least ``L * C(j, r) / C(n, r)`` edges.  In
+    both cases the canonical parent of a kept class is kept, so the proof
+    below goes through unchanged.  A gate no graph on ``n`` vertices can
+    meet (``d > C(n - 1, r - 1)`` or ``L > C(n, r)``) returns nothing.
 
     Exactness, by induction on the level.  The labelings that attain a
     graph's certificate differ by its automorphisms, so the vertices they
@@ -324,9 +361,14 @@ def enumerate_rgraphs(
     arrives with its bitmask views (``edge_masks``, ``edge_mask_set``,
     ``degrees``, ``covered_adj``) carried over from the parent.
     """
-    limit = ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
-    if n > limit:
-        raise BudgetError(f"enumeration of {r}-graphs capped at n <= {limit}, got {n}")
+    check_enum_budget(n, r)
+    if min_degree > comb(max(n - 1, 0), r - 1) or min_edges > comb(n, r):
+        return []
+    # the gates for the classes on k + 1 vertices built at step k
+    need_degree = [min_degree - sum(comb(i - 2, r - 2) for i in range(k + 2, n + 1))
+                   for k in range(n)]
+    need_edges = [-(-min_edges * comb(k + 1, r) // comb(n, r)) if min_edges else 0
+                  for k in range(n)]
 
     # each class as (graph as built, final beam and twin classes of its
     # certificate search), the latter kept for the class's automorphisms, and
@@ -342,8 +384,11 @@ def enumerate_rgraphs(
 
         def register(g: RGraph) -> None:
             degrees = g.degrees
-            if degrees[k] != min(degrees):
+            low = min(degrees)
+            if degrees[k] != low:
                 return  # the bottom cell lies inside the minimum-degree cell
+            if low < need_degree[k] or len(g.edge_masks) < need_edges[k]:
+                return  # no graph that meets the gates descends from g
             colour = _refine(g)
             if colour[k] != min(colour):
                 return  # the first label goes to a vertex of the bottom cell

@@ -16,8 +16,9 @@ child in enumeration by one-step augmentation.  The named detectors always
 scan the whole graph.
 
 ``free_representatives(n, fam)`` is the one source of family-free graphs:
-the isomorph-free enumeration pruned by that rooted check, cached per
-``(n, fam)``.  Exact Turan numbers, scans, Lagrangian bounds, the
+the isomorph-free enumeration pruned by that rooted check and by the exact
+minimum-degree and edge-count gates of its caller, cached per ``(n, fam)``
+and gates.  Exact Turan numbers, scans, Lagrangian bounds, the
 blowup-invariance check and ``enum --family`` all read it, and so does
 ``two_covered_free_patterns``, the patterns of the pattern route to Turan
 numbers and of the two-covered systems' hull.
@@ -321,9 +322,19 @@ def is_free(h: RGraph, fam: FamilySpec, *, through: int = 0) -> bool:
 
 
 @lru_cache(maxsize=64)
-def free_representatives(n: int, fam: FamilySpec) -> tuple[RGraph, ...]:
-    """Isomorph-free list of all family-free graphs on exactly n vertices (cached)."""
-    return tuple(enumerate_rgraphs(n, fam.r, lambda g, e: is_free(g, fam, through=e)))
+def free_representatives(
+    n: int, fam: FamilySpec, min_degree: int = 0, min_edges: int = 0
+) -> tuple[RGraph, ...]:
+    """Isomorph-free list of all family-free graphs on exactly n vertices with
+    minimum degree at least ``min_degree`` and at least ``min_edges`` edges
+    (cached).  The gates prune the enumeration exactly; see
+    ``enumerate_rgraphs``."""
+    return tuple(
+        enumerate_rgraphs(
+            n, fam.r, lambda g, e: is_free(g, fam, through=e),
+            min_degree=min_degree, min_edges=min_edges,
+        )
+    )
 
 
 @lru_cache(maxsize=32)
@@ -331,9 +342,18 @@ def two_covered_free_patterns(fam: FamilySpec, p_max: int) -> tuple[RGraph, ...]
     """Family-free patterns on up to ``p_max`` vertices in which every vertex
     pair shares an edge, in order of size and then of certificate (cached).
     Two-coveredness is not subgraph-closed, so it is filtered after
-    enumeration rather than used as a pruning predicate."""
+    enumeration rather than used as a pruning predicate.  It does gate the
+    enumeration: each edge through a vertex covers ``r - 1`` of the other
+    ``p - 1`` vertices, so every degree is at least ``(p - 1) / (r - 1)``,
+    and each edge covers ``C(r, 2)`` of the ``C(p, 2)`` pairs."""
+    r = fam.r
     return tuple(
-        g for p in range(1, p_max + 1) for g in free_representatives(p, fam) if is_two_covered(g)
+        g
+        for p in range(1, p_max + 1)
+        for g in free_representatives(
+            p, fam, min_degree=-(-(p - 1) // (r - 1)), min_edges=-(-comb(p, 2) // comb(r, 2))
+        )
+        if is_two_covered(g)
     )
 
 

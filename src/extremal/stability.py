@@ -17,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod, sqrt
+from math import comb, factorial, floor, prod, sqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import SoundnessError
@@ -850,13 +850,14 @@ def scan_stability(
     max_distance = 0
     heuristic = False
 
+    # an integer exceeds thr iff it is at least floor(thr) + 1, and floor is
+    # exact on floats and Fractions, so the gated lists are the qualifying ones
+    gate = "min_degree" if kind == "degree" else "min_edges"
     qualifying: list[tuple[int, RGraph]] = []
     for n in range(lo, hi + 1):
         thr = _strict_threshold(pi_ref, eps, n, r - 1 if kind == "degree" else r)
-        for g in free_representatives(n, fam):
-            meets = g.min_degree() > thr if kind == "degree" else len(g.edges) > thr
-            if meets:
-                qualifying.append((n, g))
+        reps = free_representatives(n, fam, **{gate: max(0, floor(thr) + 1)})
+        qualifying.extend((n, g) for g in reps)
     scanned = len(qualifying)
 
     for n, g in qualifying:

@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .errors import SoundnessError
-from .isomorphism import CANONICAL_MAX_N, canonical_form, canonical_relabel
+from .isomorphism import CANONICAL_MAX_N, canonical_form, canonical_relabel, check_enum_budget
 from .morphism import FamilySpec, free_representatives, is_free, two_covered_free_patterns
 from .rgraph import (
     RGraph,
@@ -188,7 +188,10 @@ def symmetrize(h: RGraph, fam: FamilySpec, mode: str = CLASS_MODE) -> SymTrace:
 def ex_bruteforce(n: int, fam: FamilySpec) -> ExResult:
     """Exact maximum edge count over all family-free graphs on n vertices,
     with every extremal graph retained up to isomorphism."""
-    reps = free_representatives(n, fam)
+    return _most_edges(n, fam, free_representatives(n, fam))
+
+
+def _most_edges(n: int, fam: FamilySpec, reps: tuple[RGraph, ...]) -> ExResult:
     value = max(len(g.edges) for g in reps)
     witnesses = tuple(g for g in reps if len(g.edges) == value)
     return ExResult(n, fam, value, witnesses, "bruteforce")
@@ -288,15 +291,29 @@ def _rounded_candidates(pat: RGraph, n: int):
 
 
 def ex(n: int, fam: FamilySpec, method: str = "both", p_max: Optional[int] = None) -> ExResult:
-    """Front door: brute force, the pattern route, or both with agreement check."""
+    """Front door: brute force, the pattern route, or both with agreement check.
+
+    Both routes: the pattern route runs first, and its value ``L`` gates the
+    brute force to the free graphs with at least ``L`` edges, which then
+    proves ``L`` optimal or beats it.  A pattern witness is a free graph on
+    ``n`` vertices with ``L`` edges, so an empty gated list is a
+    ``SoundnessError``; a larger brute-force value is a route disagreement.
+    """
     if method == "brute":
         return ex_bruteforce(n, fam)
     if method == "patterns":
         return ex_via_patterns(n, fam, p_max)
     if method != "both":
         raise ValueError(f"method must be brute|patterns|both, got {method!r}")
-    brute = ex_bruteforce(n, fam)
+    check_enum_budget(n, fam.r)  # refuse n itself, before the patterns below n
     patt = ex_via_patterns(n, fam, p_max)
+    reps = free_representatives(n, fam, min_edges=patt.value)
+    if not reps:
+        raise SoundnessError(
+            f"no {fam.label}-free graph on {n} vertices has the {patt.value} edges "
+            f"of a pattern-route witness"
+        )
+    brute = _most_edges(n, fam, reps)
     if brute.value != patt.value:
         raise SoundnessError(
             f"route disagreement for {fam.label} at n={n}: "

@@ -396,16 +396,15 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")
+    for name in config.outputs:
+        if name != "json":
+            raise FormatError(f"unknown output kind {name!r}")
     started = time.monotonic()
     payload = _DISPATCH[config.command](config.params, config.seed)
     elapsed = time.monotonic() - started
-    workdir = Path(workdir)
     written = {}
-    for name, rel in config.outputs.items():
-        path = workdir / rel
-        if name == "json":
-            path.write_text(canonical_json(payload))
-            written[name] = str(path)
-        else:
-            raise FormatError(f"unknown output kind {name!r}")
+    if "json" in config.outputs:
+        path = Path(workdir) / config.outputs["json"]
+        path.write_text(canonical_json(payload))
+        written["json"] = str(path)
     return ResultRecord(config.digest(), __version__, elapsed, {"payload": payload, **written})

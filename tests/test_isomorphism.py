@@ -18,8 +18,14 @@ from extremal.isomorphism import (
     enumerate_rgraphs,
     relabel,
 )
-from extremal.morphism import cancellative_family, generalized_triangles, is_free, single_graph
-from extremal.rgraph import RGraph, mask_of
+from extremal.morphism import (
+    cancellative_family,
+    generalized_triangles,
+    is_free,
+    single_graph,
+    two_covered_free_patterns,
+)
+from extremal.rgraph import RGraph, is_two_covered, mask_of
 
 from conftest import cycle, random_rgraph
 
@@ -398,3 +404,55 @@ def test_refined_beam_gives_the_group(all_graphs_upto_7, all_3graphs_upto_6):
                 assert group_order(beam, eq) == canonical_form(g).automorphisms == order
                 if g.n < 7:  # the closure over the graphs on 7 vertices takes about a minute
                     assert_generates_automorphisms(g)
+
+
+def free_predicate(fam):
+    return lambda g, e: is_free(g, fam, through=e)
+
+
+K3 = single_graph(cons.complete_graph(3))
+K4 = single_graph(cons.complete_graph(4))
+SIGMA3 = generalized_triangles(3)
+
+
+@pytest.mark.parametrize(
+    "n, r, fam", [(8, 2, K3), (7, 2, K4), (6, 3, SIGMA3), (5, 3, None)]
+)
+def test_gates_equal_the_filtered_enumeration(n, r, fam):
+    predicate = free_predicate(fam) if fam else None
+    full = enumerate_rgraphs(n, r, predicate)
+    # both gates at 0 is the ungated call itself, so each sweep starts at 1
+    for d in range(1, max(g.min_degree() for g in full) + 2):
+        gated = enumerate_rgraphs(n, r, predicate, min_degree=d)
+        assert gated == [g for g in full if g.min_degree() >= d]
+    for m in range(1, max(len(g.edges) for g in full) + 2):
+        gated = enumerate_rgraphs(n, r, predicate, min_edges=m)
+        assert gated == [g for g in full if len(g.edges) >= m]
+
+
+def test_gates_on_all_graphs(all_graphs_upto_7, all_3graphs_upto_6):
+    cases = [(7, 2, all_graphs_upto_7, 3, 0), (7, 2, all_graphs_upto_7, 0, 15),
+             (7, 2, all_graphs_upto_7, 3, 14), (6, 3, all_3graphs_upto_6, 6, 0),
+             (6, 3, all_3graphs_upto_6, 0, 14)]
+    for n, r, fixture, d, m in cases:
+        want = [g for g in fixture[n] if g.min_degree() >= d and len(g.edges) >= m]
+        assert enumerate_rgraphs(n, r, min_degree=d, min_edges=m) == want
+
+
+def test_gates_no_graph_can_meet():
+    assert enumerate_rgraphs(2, 3, min_edges=1) == []
+    assert enumerate_rgraphs(5, 2, min_degree=5) == []
+    assert enumerate_rgraphs(5, 2, min_edges=11) == []
+    assert enumerate_rgraphs(0, 2, min_degree=1) == []
+    assert enumerate_rgraphs(5, 2, min_degree=4) == [cons.complete_graph(5)]
+
+
+@pytest.mark.parametrize("fam, p", [(K3, 8), (K4, 7), (SIGMA3, 6)])
+def test_two_covered_patterns_equal_the_ungated_filter(fam, p):
+    want = tuple(
+        g
+        for q in range(1, p + 1)
+        for g in enumerate_rgraphs(q, fam.r, free_predicate(fam))
+        if is_two_covered(g)
+    )
+    assert two_covered_free_patterns(fam, p) == want

@@ -4,7 +4,7 @@ import pytest
 
 from extremal import constructions as cons
 from extremal import symmetrization
-from extremal.errors import SoundnessError
+from extremal.errors import BudgetError, SoundnessError
 from extremal.isomorphism import are_isomorphic
 from extremal.morphism import (
     generalized_triangles,
@@ -228,6 +228,23 @@ class TestBothRoutes:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             ex(4, K3FAM, method="magic")
+
+    def test_budget_names_n_itself(self):
+        # the pattern route below n would hit the budget at n - 1 first
+        with pytest.raises(BudgetError, match="got 11"):
+            ex(11, K3FAM)
+
+    @pytest.mark.parametrize(
+        "shift, message", [(1, "free graph on 8 vertices has the 17"), (-1, "route disagreement")]
+    )
+    def test_gated_brute_force_checks_the_pattern_value(self, monkeypatch, shift, message):
+        true = ex_via_patterns(8, K3FAM)
+        reported = symmetrization.ExResult(
+            8, K3FAM, true.value + shift, true.witnesses, true.method
+        )
+        monkeypatch.setattr(symmetrization, "ex_via_patterns", lambda *args: reported)
+        with pytest.raises(SoundnessError, match=message):
+            ex(8, K3FAM)
 
     @pytest.mark.parametrize(
         "n, fam",

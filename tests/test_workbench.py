@@ -9,6 +9,7 @@ from extremal.errors import FormatError
 from extremal.isomorphism import are_isomorphic
 from extremal.morphism import is_free, single_graph
 from extremal.workbench import (
+    _DISPATCH,
     ExperimentConfig,
     canonical_json,
     parse_class,
@@ -100,6 +101,16 @@ class TestRun:
     def test_run_unknown_command(self):
         with pytest.raises(FormatError):
             run(ExperimentConfig("mystery", {}))
+
+    def test_unknown_output_refused_before_the_command_runs(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setitem(_DISPATCH, "ex", lambda p, seed: calls.append(p) or {})
+        cfg = ExperimentConfig("ex", {"n": 8, "family": "k3"}, outputs={"witnesses": "w"})
+        with pytest.raises(FormatError, match="witnesses"):
+            run(cfg, tmp_path)
+        assert calls == []
+        run(ExperimentConfig("ex", {"n": 8, "family": "k3"}, outputs={"json": "r.json"}), tmp_path)
+        assert len(calls) == 1
 
     def test_run_ex_unknown_method(self):
         with pytest.raises(ValueError, match="brute\\|patterns\\|both"):

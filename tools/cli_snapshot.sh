@@ -9,8 +9,8 @@
 #
 # The list covers every subcommand: the criterion-12 set of
 # tests/test_acceptance.py plus larger enumerations (3-graphs included),
-# Turan numbers by both routes and by each alone, degree scans, vertex- and
-# edge-deletion scans, both symmetrization modes and the three Lagrangian
+# Turan numbers by both routes and by each alone, degree scans (some where
+# the enumeration gates prune), vertex- and edge-deletion scans, both symmetrization modes and the three Lagrangian
 # routes.
 set -euo pipefail
 if [ $# -ne 1 ]; then
@@ -103,6 +103,13 @@ run ex11-k3-patterns ex --n 11 --family k3 --method patterns --pmax 3 \
   --json ex11-k3-patterns.json
 run scan-k4 scan --family k4 --class krl:2:3 --kind degree --n 6..7 --eps 0.1 \
   --json scan-k4.json --csv scan-k4.csv
+
+# where the minimum-degree and edge-count gates prune the enumeration
+run scan-k3-9 scan --family k3 --class bipartite --kind degree --n 5..9 --eps 0.1 \
+  --json scan-k3-9.json --csv scan-k3-9.csv
+run scan-k4-8 scan --family k4 --class krl:2:3 --kind degree --n 6..8 --eps 0.1 \
+  --json scan-k4-8.json --csv scan-k4-8.csv
+run ex9-k3 ex --n 9 --family k3 --method both --json ex9-k3.json
 
 # deletion distances: vertex and edge scans of graphs and of 3-graphs
 for kind in vertex edge; do
