@@ -29,6 +29,8 @@ from .morphism import FamilySpec, free_representatives
 from .rgraph import RGraph, mask_to_tuple
 
 SIMPLEX_TOL = 1e-12
+ASCENT_TOL = 1e-10  # the ascent stops once its projected gradient is this short
+ASCENT_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -177,19 +179,17 @@ def semibipartite_residual(r: int, x: float) -> float:
 # maximization
 
 
-def _ascent(
-    E: np.ndarray, x0: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, float, bool]:
+def _ascent(E: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
     x = x0.copy()
     fx = _poly(E, x)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(ASCENT_MAX_ITER):
         g = _poly_grad(E, x)
         free = x > 1e-14
         gf = g[free]
         mu = gf.sum() / gf.size if gf.size else 0.0
         resid = np.where(free, g - mu, np.maximum(g - mu, 0.0))
-        if sqrt(resid @ resid) <= tol:
+        if sqrt(resid @ resid) <= ASCENT_TOL:
             converged = True
             break
         t = 1.0
@@ -214,8 +214,6 @@ def maximize(
     restarts: int = 64,
     seed: int = 0,
     support_limit: int = 12,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
 ) -> LagrangianResult:
     """Best simplex value found for the edge polynomial of ``g``.
 
@@ -264,7 +262,7 @@ def maximize(
             k = len(verts)
             E = np.array([[pos[v] for v in vs] for _, vs in inside], dtype=np.intp)
             x0 = np.full(k, 1.0 / k)
-            x, fx, conv = _ascent(E, x0, tol, max_iter)
+            x, fx, conv = _ascent(E, x0)
             all_converged = all_converged and conv
             if fx > best_val:
                 full = np.zeros(m)
@@ -277,7 +275,7 @@ def maximize(
         E = _edge_array(g)
         for _ in range(restarts):
             x0 = rng.dirichlet(np.ones(m))
-            x, fx, conv = _ascent(E, x0, tol, max_iter)
+            x, fx, conv = _ascent(E, x0)
             all_converged = all_converged and conv
             if fx > best_val:
                 best_val, best_x = fx, x

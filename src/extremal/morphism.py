@@ -321,14 +321,21 @@ def is_free(h: RGraph, fam: FamilySpec, *, through: int = 0) -> bool:
     return all(contains_subgraph(h, f, through=through) is None for f in fam.members)
 
 
-@lru_cache(maxsize=64)
 def free_representatives(
     n: int, fam: FamilySpec, min_degree: int = 0, min_edges: int = 0
 ) -> tuple[RGraph, ...]:
     """Isomorph-free list of all family-free graphs on exactly n vertices with
     minimum degree at least ``min_degree`` and at least ``min_edges`` edges
     (cached).  The gates prune the enumeration exactly; see
-    ``enumerate_rgraphs``."""
+    ``enumerate_rgraphs``.  They are clamped at 0 and passed to the cache in
+    one form, so equal requests share one entry however they are written."""
+    return _free_representatives(n, fam, max(0, min_degree), max(0, min_edges))
+
+
+@lru_cache(maxsize=64)
+def _free_representatives(
+    n: int, fam: FamilySpec, min_degree: int, min_edges: int
+) -> tuple[RGraph, ...]:
     return tuple(
         enumerate_rgraphs(
             n, fam.r, lambda g, e: is_free(g, fam, through=e),

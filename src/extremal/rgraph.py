@@ -116,23 +116,6 @@ class RGraph:
         views["covered_adj"] = tuple(adj)
         return g
 
-    def _edge_subgraph(
-        self, edges: tuple[tuple[int, ...], ...], masks: tuple[int, ...]
-    ) -> "RGraph":
-        """This graph with only the edges ``edges`` (a subsequence of
-        ``self.edges``), whose masks in mask order are ``masks``, on the same
-        vertex set.
-
-        Trusted, like ``_plus_vertex``: nothing is validated, and the other
-        bitmask views are derived from ``masks`` on first use.
-        """
-        g = object.__new__(RGraph)
-        object.__setattr__(g, "r", self.r)
-        object.__setattr__(g, "n", self.n)
-        object.__setattr__(g, "edges", edges)
-        g.__dict__["edge_masks"] = masks
-        return g
-
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(sorted(mask_of(e) for e in self.edges))

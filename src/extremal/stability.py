@@ -37,6 +37,7 @@ from .rgraph import (
     is_design_system,
     is_two_covered,
     mask_of,
+    mask_to_tuple,
 )
 
 COMPLETE_BLOWUPS = "complete-blowups"
@@ -206,53 +207,34 @@ def rainbow_partition(h: RGraph, parts: int) -> Optional[VertexPartition]:
 
 def semibipartition(h: RGraph) -> Optional[tuple[frozenset[int], frozenset[int]]]:
     """A partition (A, B) with every edge meeting A exactly once, or None.
-    Exact backtracking with unit propagation on the per-edge exactly-one
-    constraint; vertices in no edge default to B."""
-    UNKNOWN, IN_A, IN_B = 0, 1, 2
-    state = [UNKNOWN] * h.n
-    covered = sorted({v for e in h.edges for v in e})
+    Exact backtracking on bitmasks with unit propagation on the per-edge
+    exactly-one constraint; vertices in no edge default to B."""
+    covered = 0
+    for m in h.edge_masks:
+        covered |= m
 
-    def propagate(st: list[int]) -> bool:
+    def solve(a: int, b: int) -> Optional[int]:
         changed = True
         while changed:
             changed = False
-            for e in h.edges:
-                n_a = sum(1 for v in e if st[v] == IN_A)
-                unknown = [v for v in e if st[v] == UNKNOWN]
-                if n_a > 1:
-                    return False
-                if n_a == 1:
-                    for v in unknown:
-                        st[v] = IN_B
-                        changed = True
-                elif not unknown:
-                    return False  # all in B, no A vertex
-                elif len(unknown) == 1:
-                    st[unknown[0]] = IN_A
+            for m in h.edge_masks:
+                in_a, free = (m & a).bit_count(), m & ~(a | b)
+                if in_a > 1 or not (in_a or free):
+                    return None
+                if free and (in_a or not free & (free - 1)):  # the rest is forced
+                    a, b = (a, b | free) if in_a else (a | free, b)
                     changed = True
-        return True
+        free = covered & ~(a | b)
+        if not free:
+            return a
+        low = free & -free
+        res = solve(a | low, b)
+        return res if res is not None else solve(a, b | low)
 
-    def solve(st: list[int]) -> Optional[list[int]]:
-        if not propagate(st):
-            return None
-        todo = [v for v in covered if st[v] == UNKNOWN]
-        if not todo:
-            return st
-        v = todo[0]
-        for choice in (IN_A, IN_B):
-            trial = list(st)
-            trial[v] = choice
-            res = solve(trial)
-            if res is not None:
-                return res
+    a = solve(0, 0)
+    if a is None:
         return None
-
-    res = solve(state)
-    if res is None:
-        return None
-    a = frozenset(v for v in range(h.n) if res[v] == IN_A)
-    b = frozenset(v for v in range(h.n) if v not in a)
-    return a, b
+    return frozenset(mask_to_tuple(a)), frozenset(v for v in range(h.n) if not a >> v & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -669,110 +651,124 @@ def near_turan_check(h: RGraph, partition: VertexPartition, m: int, zeta: float)
 # deletion distances
 
 
-def vertex_deletion_distance(h: RGraph, spec: ClassSpec) -> int:
-    """Least number of vertex deletions landing in the hull (exact).
-
-    Each deletion set S is tested on the vertex set of ``h``: the edges that
-    meet S are dropped and the vertices of S stay behind, isolated.  That
-    graph is in the hull exactly when ``h - S`` is, because every hull here is
-    closed under removing isolated vertices (it is hereditary) and under
-    adding them: an isolated vertex can join any class of a complete blowup,
-    map to any vertex of a pattern, or sit on the far side of a
-    semibipartition, and the member it lies in grows with it.
-    """
-    lex = [(e, mask_of(e)) for e in h.edges]
-    for k in range(h.n + 1):
-        for combo in itertools.combinations(range(h.n), k):
-            s = mask_of(combo)
-            rest = h._edge_subgraph(
-                tuple(e for e, m in lex if not m & s),
-                tuple(m for m in h.edge_masks if not m & s),
-            )
-            if in_hull(rest, spec):
-                return k
-    raise SoundnessError(f"deleting every vertex of {h!r} leaves it outside {spec.label}")
-
-
-def edge_deletion_distance(h: RGraph, spec: ClassSpec, node_budget: int = 2_000_000) -> tuple[int, bool]:
-    """Least number of edge deletions landing in the hull, as ``(value,
-    exact)``.  Minimizes violated edges over all class assignments by branch
-    and bound; beyond the node budget the best bound so far is returned
-    flagged inexact.
-
-    Vertices are placed in natural order and each edge is judged at its last
-    vertex, where it closes.  For complete blowups the classes are
-    interchangeable, so a vertex opens at most one new class; patterns keep
-    all their classes.  The budget counts nodes of this symmetry-broken
-    search, so a graph that exhausted it when every assignment was walked may
-    now finish exactly.  Semibipartitions walk every set A of the vertices and
-    count each set against the budget."""
+def _hull_targets(spec: ClassSpec, n: int) -> list[tuple[int, bool, dict[int, int]]]:
+    """``(classes, interchangeable, violates)`` for each target whose class
+    assignments make up the hull.  ``violates`` maps the sum of ``1 << class``
+    over an edge's other r - 1 vertices to the classes of its last vertex that
+    violate it.  As in ``morphism._maps``, a repeated class carries and leaves
+    fewer than r - 1 bits; no entry matches, and every class violates.
+    Complete blowups keep edges with distinct classes, of which at most n are
+    opened; semibipartitions (class 0 is A, so the key is 2(r-1) - #A) keep
+    edges meeting A once; a two-covered pattern keeps edges whose image is an
+    edge of it."""
+    r = spec.r
     if spec.kind == COMPLETE_BLOWUPS:
-        targets: list[tuple[Optional[RGraph], int]] = [(None, spec.parts)]  # complete pattern
-    elif spec.kind == SEMIBIPARTITE:
-        best = len(h.edges)
-        for a_mask in range(1 << h.n):
-            if a_mask >= node_budget:  # a_mask sets walked so far
-                return best, False
-            bad = sum(1 for m in h.edge_masks if (m & a_mask).bit_count() != 1)
-            best = min(best, bad)
-            if best == 0:
-                break
-        return best, True
-    else:
-        patterns = two_covered_free_patterns(_system_family(h.r), spec.max_pattern)
-        targets = [(pat, pat.n) for pat in patterns]
+        p = min(spec.parts, n)
+        keys = (mask_of(c) for c in itertools.combinations(range(p), r - 1))
+        return [(p, True, {key: key for key in keys})]
+    if spec.kind == SEMIBIPARTITE:
+        return [(2, False, {2 * (r - 1): 0b10, 2 * r - 3: 0b01})]
+    targets = []
+    for pat in two_covered_free_patterns(_system_family(r), spec.max_pattern):
+        full, violates = (1 << pat.n) - 1, {}
+        for c, link in enumerate(pat.link_masks):
+            for rest in link:
+                violates[rest] = violates.get(rest, full) & ~(1 << c)
+        targets.append((pat.n, False, violates))
+    return targets
 
-    n, r = h.n, h.r
+
+def _least_deletions(h: RGraph, spec: ClassSpec, vertices: bool, node_budget: float) -> tuple:
+    """``(value, exact, witness)`` of the branch and bound behind both deletion
+    distances.  Vertices are placed in natural order, each edge is judged at
+    its last vertex, and a vertex opens at most one new class when classes are
+    interchangeable.  Edge mode counts violated edges (the witness).  Vertex
+    mode may also delete a vertex at cost 1, dropping its edges, and allows no
+    violated edge (the deleted set is the witness).  Past ``node_budget`` nodes
+    the best value so far comes back inexact."""
+    n = h.n
     closes: list[list[tuple[int, ...]]] = [[] for _ in range(n)]  # other vertices, by last vertex
     for e in h.edges:
         closes[e[-1]].append(e[:-1])
-    best = len(h.edges)
-    nodes = 0
-    exact = True
-    color = [0] * n
+    best = n if vertices else len(h.edges)
+    found, nodes, exact = None, 0, True
+    bit = [0] * n  # 1 << class of each placed vertex, 0 once deleted
 
-    for target, p in targets:
+    for p, interchangeable, violates in _hull_targets(spec, n):
         full = (1 << p) - 1
-        # for a pattern: (r-1)-set of classes -> mask of the classes completing it to an edge
-        completes: dict[int, int] = {}
-        if target is not None:
-            for c, link in enumerate(target.link_masks):
-                for rest in link:
-                    completes[rest] = completes.get(rest, 0) | 1 << c
 
-        def walk(v: int, used: int, bad: int) -> None:
-            nonlocal best, nodes, exact
+        def walk(v: int, used: int, cost: int) -> None:
+            nonlocal best, found, nodes, exact
             nodes += 1
             if nodes > node_budget:
                 exact = False
                 return
             if v == n:
-                best = bad
+                best, found = cost, (violates, full, list(bit))
                 return
-            # edges closed here that are violated whatever the class, and for
-            # each other closed edge the mask of classes that would violate it
+            # closed edges violated whatever the class, and for each other
+            # closed edge the mask of the classes that would violate it
             base = 0
             misses = []
             for others in closes[v]:
-                seen = 0
+                key = 0
                 for u in others:
-                    seen |= 1 << color[u]
-                if seen.bit_count() < r - 1:
-                    base += 1
-                elif target is None:
-                    misses.append(seen)
+                    b = bit[u]
+                    if not b:
+                        break  # the edge went with a deleted vertex
+                    key += b
                 else:
-                    misses.append(full & ~completes.get(seen, 0))
-            for c in range(min(p, used + 1) if target is None else p):
+                    miss = violates.get(key, full)
+                    if miss == full:
+                        base += 1
+                    else:
+                        misses.append(miss)
+            for c in range(min(p, used + 1)) if interchangeable else range(p):
                 extra = base
                 for miss in misses:
                     extra += miss >> c & 1
-                if bad + extra < best:
-                    color[v] = c
-                    walk(v + 1, max(used, c + 1), bad + extra)
+                if cost + extra < best and not (vertices and extra):
+                    bit[v] = 1 << c
+                    walk(v + 1, max(used, c + 1), cost + extra)
+            if vertices and cost + 1 < best:
+                bit[v] = 0
+                walk(v + 1, used, cost + 1)
 
         walk(0, 0, 0)
-    return best, exact
+
+    if found is None:  # nothing beat deleting everything
+        return best, exact, tuple(range(n)) if vertices else h.edges
+    violates, full, placed = found
+    if vertices:
+        return best, exact, tuple(v for v in range(n) if not placed[v])
+    return best, exact, tuple(
+        e for e in h.edges if violates.get(sum(placed[u] for u in e[:-1]), full) & placed[e[-1]]
+    )
+
+
+def vertex_deletion_distance(h: RGraph, spec: ClassSpec) -> int:
+    """Least number of vertex deletions landing in the hull, exact and with no
+    budget: the branch and bound of ``edge_deletion_distance``, where a vertex
+    may also be deleted at cost 1 and no violated edge may remain.  The
+    deleted set is checked with ``in_hull``; a failure raises
+    ``SoundnessError``."""
+    value, _, deleted = _least_deletions(h, spec, True, float("inf"))
+    if not in_hull(delete_vertices(h, deleted)[0], spec):
+        raise SoundnessError(f"deleting {deleted} from {h!r} leaves it outside {spec.label}")
+    return value
+
+
+def edge_deletion_distance(h: RGraph, spec: ClassSpec, node_budget: int = 2_000_000) -> tuple[int, bool]:
+    """Least number of edge deletions landing in the hull, as ``(value,
+    exact)``: a branch and bound over the class assignments of the complete
+    blowup, each two-covered pattern or the semibipartition A/B, counting
+    violated edges, whose every node counts against ``node_budget`` (past it
+    the best value so far comes back inexact).  The violated edges are
+    checked with ``in_hull``; a failure raises ``SoundnessError``."""
+    value, exact, violated = _least_deletions(h, spec, False, node_budget)
+    if not in_hull(RGraph(h.r, h.n, tuple(set(h.edges) - set(violated))), spec):
+        raise SoundnessError(f"deleting edges {violated} from {h!r} leaves it outside {spec.label}")
+    return value, exact
 
 
 # ---------------------------------------------------------------------------
@@ -856,7 +852,7 @@ def scan_stability(
     qualifying: list[tuple[int, RGraph]] = []
     for n in range(lo, hi + 1):
         thr = _strict_threshold(pi_ref, eps, n, r - 1 if kind == "degree" else r)
-        reps = free_representatives(n, fam, **{gate: max(0, floor(thr) + 1)})
+        reps = free_representatives(n, fam, **{gate: floor(thr) + 1})
         qualifying.extend((n, g) for g in reps)
     scanned = len(qualifying)
 

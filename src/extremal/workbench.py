@@ -370,21 +370,28 @@ def emit_table(records: list["ResultRecord"], *, wall_time: bool = True) -> str:
     return "\n".join(rows) + "\n"
 
 
+# command -> (required params, optional params with their defaults)
+_PARAMS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
+    "ex": (("n", "family"), {"method": "both", "pmax": None}),
+    "lagrangian": (("input",), {"supports": False, "restarts": 64}),
+    "symmetrize": (("input", "family"), {"mode": "class"}),
+    "scan": (("family", "class", "n_lo", "n_hi", "eps"), {"kind": "degree", "delta": 0.0,
+                                                          "pi_ref": None}),
+    "check": (("input",), {"class": None, "family": None}),
+    "extendable": (("input", "vertex", "class", "zeta", "pi_ref"), {}),
+    "enum": (("n", "r"), {"family": None}),
+}
+
 _DISPATCH: dict[str, Callable[..., dict]] = {
-    "ex": lambda p, seed: op_ex(p["n"], p["family"], p.get("method", "both"), p.get("pmax")),
-    "lagrangian": lambda p, seed: op_lagrangian(
-        p["input"], p.get("supports", False), p.get("restarts", 64), seed
-    ),
-    "symmetrize": lambda p, seed: op_symmetrize(p["input"], p["family"], p.get("mode", "class")),
-    "scan": lambda p, seed: op_scan(
-        p["family"], p["class"], p.get("kind", "degree"), p["n_lo"], p["n_hi"],
-        p["eps"], p.get("delta", 0.0), p.get("pi_ref"),
-    ),
-    "check": lambda p, seed: op_check(p["input"], p.get("class"), p.get("family")),
-    "extendable": lambda p, seed: op_extendable(
-        p["input"], p["vertex"], p["class"], p["zeta"], p["pi_ref"]
-    ),
-    "enum": lambda p, seed: op_enum(p["n"], p["r"], p.get("family")),
+    "ex": lambda p, seed: op_ex(p["n"], p["family"], p["method"], p["pmax"]),
+    "lagrangian": lambda p, seed: op_lagrangian(p["input"], p["supports"], p["restarts"], seed),
+    "symmetrize": lambda p, seed: op_symmetrize(p["input"], p["family"], p["mode"]),
+    "scan": lambda p, seed: op_scan(p["family"], p["class"], p["kind"], p["n_lo"], p["n_hi"],
+                                    p["eps"], p["delta"], p["pi_ref"]),
+    "check": lambda p, seed: op_check(p["input"], p["class"], p["family"]),
+    "extendable": lambda p, seed: op_extendable(p["input"], p["vertex"], p["class"], p["zeta"],
+                                                p["pi_ref"]),
+    "enum": lambda p, seed: op_enum(p["n"], p["r"], p["family"]),
 }
 
 
@@ -392,15 +399,23 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
     """Execute a config and persist any requested outputs.
 
     ``outputs`` maps logical names to paths.  The one name is ``json``, which
-    stores the canonical payload; any other name raises ``FormatError``.
+    stores the canonical payload; any other name raises ``FormatError``, as
+    does a missing or unknown name in ``params``, before the command runs.
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")
     for name in config.outputs:
         if name != "json":
             raise FormatError(f"unknown output kind {name!r}")
+    required, optional = _PARAMS[config.command]
+    missing = [k for k in required if k not in config.params]
+    if missing:
+        raise FormatError(f"{config.command} params missing: {missing}")
+    unknown = sorted(config.params.keys() - set(required) - optional.keys())
+    if unknown:
+        raise FormatError(f"unknown {config.command} params: {unknown}")
     started = time.monotonic()
-    payload = _DISPATCH[config.command](config.params, config.seed)
+    payload = _DISPATCH[config.command]({**optional, **config.params}, config.seed)
     elapsed = time.monotonic() - started
     written = {}
     if "json" in config.outputs:

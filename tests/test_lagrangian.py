@@ -226,7 +226,7 @@ class TestMaximize:
         assert abs(res.value - 1 / 3) <= 1e-6  # blowup of K3 keeps its value
 
 
-def _every_support_maximize(g, tol=1e-10, max_iter=10_000):
+def _every_support_maximize(g):
     """The oracle for support enumeration: the uniform point, the unit vectors
     and an ascent on every support that contains an edge, pair-covered or not,
     read out as ``maximize`` reads out its best point."""
@@ -247,7 +247,7 @@ def _every_support_maximize(g, tol=1e-10, max_iter=10_000):
         if not inside:
             continue
         x0 = np.full(len(verts), 1.0 / len(verts))
-        x, fx, conv = _ascent(np.array(inside, dtype=np.intp), x0, tol, max_iter)
+        x, fx, conv = _ascent(np.array(inside, dtype=np.intp), x0)
         converged = converged and conv
         if fx > best_val:
             best_val, best_x = fx, np.zeros(m)

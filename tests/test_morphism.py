@@ -527,3 +527,20 @@ def test_rooted_search_only_finds_copies_through_the_edge():
         is_free(T3, generalized_triangles(3), through=mask_of((0, 1, 4)))
     with pytest.raises(ValueError):
         is_free(cycle(5), weak_expansions(path(3)), through=mask_of((0, 2)))
+
+
+def test_free_representatives_caches_one_entry_per_request():
+    """However the gates are written (left out, by keyword, positionally, or
+    below 0), an equal request is one cache entry."""
+    import extremal.morphism as morphism
+
+    sigma3 = generalized_triangles(3)
+    morphism._free_representatives.cache_clear()
+    first = morphism.free_representatives(6, sigma3)
+    assert morphism.free_representatives(6, sigma3, min_degree=0) is first
+    assert morphism.free_representatives(6, sigma3, 0, 0) is first
+    assert morphism.free_representatives(6, sigma3, min_edges=0, min_degree=0) is first
+    info = morphism._free_representatives.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    assert morphism.free_representatives(6, sigma3, min_degree=-2, min_edges=-1) is first
+    assert morphism._free_representatives.cache_info().misses == 1

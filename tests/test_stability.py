@@ -168,6 +168,20 @@ class TestSemibipartition:
         a, b = semibipartition(RGraph(3, 4, ()))
         assert a == frozenset() and b == {0, 1, 2, 3}
 
+    def test_matches_every_set_a(self):
+        """Against all 2^n sets A on every class of graphs with n <= 6 and of
+        3-graphs with n <= 5."""
+        for r, n_max in [(2, 6), (3, 5)]:
+            for n in range(1, n_max + 1):
+                for g in enumerate_rgraphs(n, r):
+                    res = semibipartition(g)
+                    exists = TestDistances.edge_distance_by_assignments(g, semibipartite_class(r)) == 0
+                    assert (res is not None) == exists, g.edges
+                    if res is not None:
+                        a, b = res
+                        assert a | b == set(range(n)) and not a & b
+                        assert all(len(a.intersection(e)) == 1 for e in g.edges)
+
 
 class TestHull:
     def test_subgraph_of_turan_rgraph(self):
@@ -441,23 +455,32 @@ class TestDistances:
 
     @staticmethod
     def exhaustive_cases():
-        """Every class of graphs with n <= 6 against 2 and 3 parts, and of
-        3-graphs with n <= 5 against 3 parts and the two-covered patterns on
-        at most 7 vertices (the Fano plane is the one whose classes are not
-        interchangeable)."""
+        """Every class of graphs with n <= 6 against 2 and 3 parts and the
+        semibipartitions, and of 3-graphs with n <= 5 against 3 parts, the
+        semibipartitions and the two-covered patterns on at most 7 vertices
+        (the Fano plane is the one whose classes are not interchangeable)."""
         for n in range(1, 7):
             for g in enumerate_rgraphs(n, 2):
                 yield g, complete_blowups(2, 2)
                 yield g, complete_blowups(2, 3)
+                yield g, semibipartite_class(2)
         for n in range(1, 6):
             for g in enumerate_rgraphs(n, 3):
                 yield g, complete_blowups(3, 3)
+                yield g, semibipartite_class(3)
                 yield g, two_covered_systems(3, 7)
 
     @staticmethod
     def edge_distance_by_assignments(h, spec):
         """Fewest violated edges over all p^n class assignments, for every
-        target pattern: an edge is kept when its image is a pattern edge."""
+        target pattern: an edge is kept when its image is a pattern edge.
+        For semibipartitions, over all 2^n sets A: an edge is kept when it
+        meets A exactly once."""
+        if spec.kind == "semibipartite":
+            return min(
+                sum(1 for m in h.edge_masks if (m & a).bit_count() != 1)
+                for a in range(1 << h.n)
+            )
         if spec.kind == "complete-blowups":
             patterns = [cons.complete_rgraph(spec.parts, h.r)]
         else:
@@ -488,7 +511,7 @@ class TestDistances:
             assert vertex == self.vertex_distance_by_deletion(g, spec), (g.edges, spec.label)
             assert vertex <= edge
             checked += 1
-        assert checked == 2 * (1 + 2 + 4 + 11 + 34 + 156) + 2 * (1 + 1 + 2 + 5 + 34)
+        assert checked == 3 * (1 + 2 + 4 + 11 + 34 + 156) + 3 * (1 + 1 + 2 + 5 + 34)
 
     @pytest.mark.parametrize("r, p_max", [(2, 8), (3, 7), (4, 6)])
     def test_system_patterns_are_the_two_covered_designs(self, r, p_max):
@@ -522,6 +545,9 @@ class TestDistances:
             (cons.complete_graph(5), complete_blowups(2, 3)),
             (cons.complete_rgraph(5, 3), complete_blowups(3, 3)),
             (cons.complete_rgraph(5, 3), two_covered_systems(3, 4)),
+            (cycle(5), semibipartite_class(2)),
+            (cons.complete_rgraph(5, 3), semibipartite_class(3)),
+            (cons.complete_rgraph(6, 4), semibipartite_class(4)),
         ]
         for g, spec in cases:
             value, exact = edge_deletion_distance(g, spec)
@@ -530,29 +556,19 @@ class TestDistances:
                 bound, flag = edge_deletion_distance(g, spec, node_budget=budget)
                 assert not flag and bound >= value, (g.edges, spec.label, budget)
 
-    def test_semibipartite_walk_keeps_to_the_node_budget(self):
-        """Every set A of the vertices counts against the budget: within it
-        the walk is exact, past it the best value so far comes back flagged
-        inexact.  The complete semibipartite 3-graph with A = {4, 5} is at
-        distance 0 only from the 49th set walked (mask 48); K^3_5 is exact
-        only once all 32 sets are walked, since its distance 4 is not 0."""
-        spec = semibipartite_class(3)
-        semi = cons.complete_semibipartite(2, 4, 3)
-        late = RGraph(3, 6, tuple(tuple(5 - v for v in e) for e in semi.edges))
-        for g, value, walked in [(late, 0, 49), (cons.complete_rgraph(5, 3), 4, 32)]:
-            assert edge_deletion_distance(g, spec) == (value, True)
-            assert edge_deletion_distance(g, spec, node_budget=walked) == (value, True)
-            for budget in (1, 2, 3, walked - 1):
-                bound, flag = edge_deletion_distance(g, spec, node_budget=budget)
-                assert not flag and bound >= value, (g.edges, budget)
-        assert edge_deletion_distance(late, spec, node_budget=48) == (4, False)
-
     def test_vertex_distance_outside_every_hull_raises(self, monkeypatch):
         import extremal.stability as stability
 
         monkeypatch.setattr(stability, "in_hull", lambda h, spec: False)
         with pytest.raises(SoundnessError):
             vertex_deletion_distance(cycle(5), BIPARTITE)
+
+    def test_edge_distance_outside_every_hull_raises(self, monkeypatch):
+        import extremal.stability as stability
+
+        monkeypatch.setattr(stability, "in_hull", lambda h, spec: False)
+        with pytest.raises(SoundnessError):
+            edge_deletion_distance(cycle(5), BIPARTITE)
 
 
 class TestScans:

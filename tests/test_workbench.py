@@ -112,6 +112,17 @@ class TestRun:
         run(ExperimentConfig("ex", {"n": 8, "family": "k3"}, outputs={"json": "r.json"}), tmp_path)
         assert len(calls) == 1
 
+    def test_unknown_or_missing_params_refused_before_the_command_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(_DISPATCH, "ex", lambda p, seed: calls.append(p) or {})
+        with pytest.raises(FormatError, match="methd"):
+            run(ExperimentConfig("ex", {"n": 5, "family": "k3", "methd": "brute"}))
+        with pytest.raises(FormatError, match="family"):
+            run(ExperimentConfig("ex", {"n": 5}))
+        assert calls == []
+        run(ExperimentConfig("ex", {"n": 5, "family": "k3"}))
+        assert calls == [{"n": 5, "family": "k3", "method": "both", "pmax": None}]
+
     def test_run_ex_unknown_method(self):
         with pytest.raises(ValueError, match="brute\\|patterns\\|both"):
             run(ExperimentConfig("ex", {"n": 4, "family": "k3", "method": "bogus"}))
