@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from extremal import constructions as cons
+from extremal import lagrangian
 from extremal.lagrangian import (
     SimplexPoint,
     _ascent,
@@ -38,6 +39,17 @@ class TestSimplexPoint:
     def test_rejects_off_sum(self):
         with pytest.raises(ValueError):
             SimplexPoint((0.5, 0.4))
+
+    def test_rejects_non_finite(self):
+        # NaN fails every comparison, so a check written as "reject if w < 0"
+        # lets it through
+        nan, inf = float("nan"), float("inf")
+        for weights in [(nan,), (nan, 1.0), (inf,), (1.0, inf), (inf, -inf), (0.0, nan, 1.0)]:
+            with pytest.raises(ValueError):
+                SimplexPoint(weights)
+            w = weights if len(weights) > 1 else weights + (0.0,)
+            with pytest.raises(ValueError):
+                maclaurin_residual(len(w), 2, w)  # through _check_on_simplex
 
 
 class TestEvaluate:
@@ -153,12 +165,68 @@ class TestKernelBits:
             assert _poly(E, x) == float(np.prod(x[E], axis=1).sum())
             assert np.array_equal(_poly_grad(E, x), _add_at_poly_grad(E, x))
 
+    @staticmethod
+    def multistart_vectors(seed):
+        """Vectors with 9-20 entries, the sizes multistart ascents project:
+        ascent-like points, quarter-grid ties and signed zeros."""
+        rng = np.random.default_rng(seed)
+        for k in range(9, 21):
+            for _ in range(40):
+                x = rng.dirichlet(np.ones(k))
+                yield x + rng.normal(scale=0.1, size=k)
+                yield np.round(4 * rng.normal(size=k)) / 4
+                yield rng.choice([0.0, -0.0, 0.25, -0.25, 1.0, 1 / 3], size=k)
+
     def test_projection_matches_loop(self):
+        # tobytes, not array_equal, which takes -0.0 for 0.0
         rng = np.random.default_rng(9)
         for E, x in self.points(9):
             g = _poly_grad(E, x)
-            for v in (x + g, x + 0.5 * g, x - g, np.round(4 * rng.normal(size=len(x))) / 4):
-                assert np.array_equal(project_to_simplex(v), _loop_projection(v))
+            zeros = np.where(rng.random(len(x)) < 0.5, 0.0, -0.0)
+            for v in (x + g, x + 0.5 * g, x - g, np.round(4 * rng.normal(size=len(x))) / 4, zeros):
+                assert project_to_simplex(v).tobytes() == _loop_projection(v).tobytes(), v
+        for v in self.multistart_vectors(10):
+            assert project_to_simplex(v).tobytes() == _loop_projection(v).tobytes(), v
+
+    def test_ascent_matches_loop_projection(self, all_graphs_upto_7, all_3graphs_upto_6, monkeypatch):
+        """``_ascent`` with the loop projection patched in returns the same
+        bits: on every pair-covered support that ``maximize`` ascends for the
+        graphs of TestPairCoveredSupports, and from seeded Dirichlet starts on
+        random graphs with 13-16 vertices."""
+        cases = []
+        real_ascent = lagrangian._ascent
+
+        def record(E, x0):
+            cases.append((E, x0))
+            return real_ascent(E, x0)
+
+        graphs = [g for n in range(1, 7) for g in all_graphs_upto_7[n]]
+        graphs += [g for n in range(1, 6) for g in all_3graphs_upto_6[n]]
+        with monkeypatch.context() as patch:
+            patch.setattr(lagrangian, "_ascent", record)
+            for g in graphs:
+                maximize(g)
+        rng = random.Random(11)
+        gen = np.random.default_rng(11)
+        for m in range(13, 17):
+            for r in (2, 3):
+                E = np.array(random_rgraph(rng, m, r, 0.5).edges, dtype=np.intp)
+                cases.append((E, gen.dirichlet(np.ones(m))))
+
+        expected = [_ascent(E, x0) for E, x0 in cases]
+        calls = 0
+
+        def loop_projection(v):
+            nonlocal calls
+            calls += 1
+            return _loop_projection(v)
+
+        monkeypatch.setattr(lagrangian, "project_to_simplex", loop_projection)
+        for (E, x0), (x, fx, conv) in zip(cases, expected):
+            x_loop, fx_loop, conv_loop = _ascent(E, x0)
+            assert x.tobytes() == x_loop.tobytes(), E.tolist()
+            assert (fx, conv) == (fx_loop, conv_loop), E.tolist()
+        assert calls > len(cases)  # the ascent looks the projection up as a module global
 
 
 class TestProjection:
@@ -169,6 +237,17 @@ class TestProjection:
     def test_clips_negative(self):
         p = project_to_simplex(np.array([1.5, -0.5]))
         assert p[1] == 0.0 and abs(p.sum() - 1) < 1e-12
+
+    def test_rejects_non_finite(self):
+        for v in ([np.inf, 0.0], [np.nan, 0.5], [-np.inf, 1.0], [1e308, 1e308]):
+            with pytest.raises(ValueError):
+                project_to_simplex(np.array(v))
+
+    def test_huge_entry_falls_back_to_uniform(self):
+        # 1e17 - 1.0 rounds to 1e17, so no cut lies below its entry and the
+        # uniform point comes back in place of the projection (1, 0)
+        p = project_to_simplex(np.array([1e17, 0.0]))
+        assert p.tobytes() == np.array([0.5, 0.5]).tobytes()
 
 
 class TestMaximize:
