@@ -75,11 +75,9 @@ def gen_triangle(r: int) -> RGraph:
     return RGraph(r, 2 * r - 1, (a, b, c))
 
 
-def expansion(base: RGraph, vertex_count: int | None = None) -> RGraph:
+def expansion(base: RGraph) -> RGraph:
     """The largest weak expansion of ``base``: every uncovered pair gets its
     own edge through r-2 fresh vertices (no fresh vertices when r = 2)."""
-    if vertex_count is not None and vertex_count != base.n:
-        raise ValueError(f"vertex_count {vertex_count} != v(base) = {base.n}")
     pairs = uncovered_pairs(base)
     extra = base.r - 2
     edges = list(base.edges)

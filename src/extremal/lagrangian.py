@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf, isfinite, prod, sqrt
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .morphism import FamilySpec, free_representatives
 from .rgraph import RGraph, mask_to_tuple
 
 SIMPLEX_TOL = 1e-12
@@ -44,10 +43,6 @@ class SimplexPoint:
             raise ValueError("simplex weights must be finite and nonnegative")
         if abs(sum(self.weights) - 1.0) > SIMPLEX_TOL:
             raise ValueError(f"weights sum to {sum(self.weights)!r}, not 1")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -308,42 +303,3 @@ def maximize(
     point = SimplexPoint(tuple(float(t) for t in best_x))
     return LagrangianResult(float(evaluate(g, point)), point, method, gap, all_converged)
 
-
-# ---------------------------------------------------------------------------
-# supremum estimation over a free class
-
-
-@dataclass(frozen=True)
-class FreeLagrangianBound:
-    """A certified *lower* bound for the supremum of the Lagrangian over the
-    family-free graphs: the maximum over all enumerated patterns."""
-
-    value: float
-    witness: RGraph
-    scanned: int
-    p_max: int
-
-
-def max_lagrangian_over_free(
-    fam: FamilySpec,
-    p_max: int,
-    extra_filter: Optional[Callable[[RGraph], bool]] = None,
-    *,
-    seed: int = 0,
-) -> FreeLagrangianBound:
-    """Maximize the Lagrangian over family-free patterns on ``p_max`` labeled
-    vertices (smaller patterns appear padded with isolated vertices, which do
-    not change the value), optionally restricted by ``extra_filter``."""
-    patterns = free_representatives(p_max, fam)
-    best: Optional[tuple[float, RGraph]] = None
-    scanned = 0
-    for p in patterns:
-        if extra_filter is not None and not extra_filter(p):
-            continue
-        scanned += 1
-        res = maximize(p, seed=seed)
-        if best is None or res.value > best[0]:
-            best = (res.value, p)
-    if best is None:
-        raise ValueError("no pattern passed the filters")
-    return FreeLagrangianBound(best[0], best[1], scanned, p_max)

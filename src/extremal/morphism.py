@@ -18,10 +18,10 @@ scan the whole graph.
 ``free_representatives(n, fam)`` is the one source of family-free graphs:
 the isomorph-free enumeration pruned by that rooted check and by the exact
 minimum-degree and edge-count gates of its caller, cached per ``(n, fam)``
-and gates.  Exact Turan numbers, scans, Lagrangian bounds, the
-blowup-invariance check and ``enum --family`` all read it, and so does
-``two_covered_free_patterns``, the patterns of the pattern route to Turan
-numbers and of the two-covered systems' hull.
+and gates.  Exact Turan numbers, scans, the blowup-invariance check and
+``enum --family`` all read it, and so does ``two_covered_free_patterns``,
+the patterns of the pattern route to Turan numbers and of the two-covered
+systems' hull.
 """
 
 from __future__ import annotations
@@ -92,9 +92,7 @@ def cancellative_family(r: int) -> FamilySpec:
     return FamilySpec(CANCELLATIVE, r)
 
 
-def weak_expansions(base: RGraph, vertex_count: Optional[int] = None) -> FamilySpec:
-    if vertex_count is not None and vertex_count != base.n:
-        raise ValueError(f"vertex_count {vertex_count} != v(base) = {base.n}")
+def weak_expansions(base: RGraph) -> FamilySpec:
     return FamilySpec(WEAK_EXPANSION, base.r, base=base)
 
 
@@ -249,52 +247,28 @@ class WeakExpansionWitness:
     connectors: dict[tuple[int, int], tuple[int, ...]] = field(compare=False)
 
 
-def find_weak_expansion(
-    host: RGraph, base: RGraph, *, distinct_connectors: bool = False
-) -> Optional[WeakExpansionWitness]:
+def find_weak_expansion(host: RGraph, base: RGraph) -> Optional[WeakExpansionWitness]:
     """An embedding of ``base`` whose uncovered pairs are all covered by host
     edges; this is exactly containment of a weak expansion of the base.
 
-    Any covering edge serves as a connector by default.  ``distinct_connectors``
-    additionally demands pairwise-distinct connector edges (connectors never
-    coincide with embedded base edges: a base edge through both endpoints
+    ``_maps`` with ``cover_all`` sends every pair of base vertices to a
+    covered host pair, so its first embedding is a witness.  The connector of
+    an uncovered pair is the first host edge through the image of the pair
+    (it is never an embedded base edge: a base edge through both endpoints
     would make the pair covered).
     """
     if host.r != base.r:
         raise ValueError(f"uniformity mismatch: host r={host.r}, base r={base.r}")
     if base.n > host.n:
         return None
-    pairs = uncovered_pairs(base)
-
-    def connectors(phi: dict[int, int]) -> Optional[dict[tuple[int, int], tuple[int, ...]]]:
-        # pairs with the fewest covering edges first; without distinct
-        # connectors the first edge of every pair is taken
-        options = []
-        for u, v in pairs:
-            pm = (1 << phi[u]) | (1 << phi[v])
-            options.append(((u, v), [m for m in host.edge_masks if m & pm == pm]))
-        options.sort(key=lambda t: len(t[1]))
-        chosen: dict[tuple[int, int], int] = {}
-
-        def assign(i: int) -> bool:
-            if i == len(options):
-                return True
-            pair, cand = options[i]
-            for m in cand:
-                if not (distinct_connectors and m in chosen.values()):
-                    chosen[pair] = m
-                    if assign(i + 1):
-                        return True
-                    del chosen[pair]
-            return False
-
-        return {pair: mask_to_tuple(m) for pair, m in chosen.items()} if assign(0) else None
-
-    for phi in _maps(host, base, True, cover_all=True):
-        conn = connectors(phi)
-        if conn is not None:
-            return WeakExpansionWitness(phi, conn)
-    return None
+    phi = next(_maps(host, base, True, cover_all=True), None)
+    if phi is None:
+        return None
+    connectors = {}
+    for u, v in uncovered_pairs(base):
+        pm = (1 << phi[u]) | (1 << phi[v])
+        connectors[u, v] = mask_to_tuple(next(m for m in host.edge_masks if m & pm == pm))
+    return WeakExpansionWitness(phi, connectors)
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +336,6 @@ def two_covered_free_patterns(fam: FamilySpec, p_max: int) -> tuple[RGraph, ...]
         )
         if is_two_covered(g)
     )
-
-
-def is_hom_free(h: RGraph, fam: FamilySpec) -> bool:
-    """True iff no family member admits a homomorphism into ``h``.
-
-    The named detector families are closed under homomorphic images (an image
-    of a member contains a member), so for them hom-freeness coincides with
-    subgraph-freeness; explicit lists get a real homomorphism search.
-    """
-    if h.r != fam.r:
-        raise ValueError(f"uniformity mismatch: graph r={h.r}, family r={fam.r}")
-    if fam.kind == EXPLICIT:
-        return all(has_homomorphism(f, h) is None for f in fam.members)
-    return is_free(h, fam)
 
 
 # ---------------------------------------------------------------------------

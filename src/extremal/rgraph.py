@@ -78,10 +78,6 @@ class RGraph:
     def from_masks(cls, r: int, n: int, masks: Iterable[int]) -> "RGraph":
         return cls(r, n, tuple(mask_to_tuple(m) for m in masks))
 
-    @classmethod
-    def empty(cls, r: int, n: int) -> "RGraph":
-        return cls(r, n, ())
-
     def _plus_vertex(
         self, new_edges: tuple[tuple[int, ...], ...], new_masks: tuple[int, ...]
     ) -> "RGraph":
@@ -192,9 +188,6 @@ class VertexPartition:
         for v, c in enumerate(self.assignment):
             out[c].append(v)
         return tuple(tuple(c) for c in out)
-
-    def class_of(self, v: int) -> int:
-        return self.assignment[v]
 
 
 @dataclass(frozen=True)

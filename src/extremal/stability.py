@@ -14,10 +14,9 @@ stability statement; verdicts carry the scanned range and nothing more.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, floor, prod, sqrt
+from math import comb, factorial, floor
 from typing import Iterable, Optional, Sequence
 
 from .errors import SoundnessError
@@ -114,50 +113,6 @@ def _proper_coloring(adj: Sequence[int], n: int, k: int) -> Optional[list[int]]:
         return False
 
     return list(color) if place(0, 0) else None
-
-
-def chromatic_number(g: RGraph) -> int:
-    """Exact chromatic number of a 2-graph by branch and bound: a greedy
-    clique gives the lower end, greedy coloring the upper."""
-    if g.r != 2:
-        raise ValueError("chromatic_number applies to 2-graphs")
-    if g.n == 0:
-        return 0
-    adj = g.covered_adj
-    if not g.edges:
-        return 1
-    # greedy clique from the densest vertex
-    start = max(range(g.n), key=lambda v: g.degrees[v])
-    clique = [start]
-    for v in sorted(range(g.n), key=lambda v: (-g.degrees[v], v)):
-        if all((adj[v] >> u) & 1 for u in clique):
-            clique.append(v)
-    lower = len(clique)
-    # greedy coloring upper bound
-    color = [-1] * g.n
-    for v in sorted(range(g.n), key=lambda v: (-g.degrees[v], v)):
-        taken = {color[u] for u in range(g.n) if (adj[v] >> u) & 1 and color[u] >= 0}
-        c = 0
-        while c in taken:
-            c += 1
-        color[v] = c
-    upper = max(color) + 1
-    for k in range(lower, upper):
-        if _proper_coloring(adj, g.n, k) is not None:
-            return k
-    return upper
-
-
-def color_classes(g: RGraph, k: int) -> Optional[VertexPartition]:
-    """A proper <= k coloring of a 2-graph as a partition, or None."""
-    if g.r != 2:
-        raise ValueError("color_classes applies to 2-graphs")
-    if k < 1:
-        return None if g.n else VertexPartition(0, ())
-    sol = _proper_coloring(g.covered_adj, g.n, k)
-    if sol is None:
-        return None
-    return VertexPartition(k, tuple(sol))
 
 
 def krl_coloring(h: RGraph, parts: int) -> Optional[VertexPartition]:
@@ -290,7 +245,7 @@ def in_hull(h: RGraph, spec: ClassSpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# thresholds and low-degree cleaning
+# thresholds
 
 
 def _strict_threshold(
@@ -301,24 +256,6 @@ def _strict_threshold(
     arithmetic of ``pi_ref`` and ``eps``, so ``Fraction`` inputs give an
     exact threshold and a graph sitting exactly on it never qualifies."""
     return (pi_ref / factorial(k) - eps) * n**k
-
-
-def low_degree_set(h: RGraph, pi_ref: float | Fraction, eps: float | Fraction) -> frozenset[int]:
-    """Vertices of degree at most ``(pi_ref/(r-1)! - 2*sqrt(eps)) * n^(r-1)``.
-
-    The threshold is a float even for ``Fraction`` inputs, because
-    ``sqrt(eps)`` is; only ``pi_ref/(r-1)!`` is exact before the subtraction.
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    thr = (pi_ref / factorial(h.r - 1) - 2 * sqrt(eps)) * h.n ** (h.r - 1)
-    return frozenset(v for v in range(h.n) if h.degrees[v] <= thr)
-
-
-def trim_low_degree(
-    h: RGraph, pi_ref: float | Fraction, eps: float | Fraction
-) -> tuple[RGraph, dict[int, int]]:
-    return delete_vertices(h, low_degree_set(h, pi_ref, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -400,250 +337,6 @@ def extend_by_set(
         member=in_hull(h, spec),
         size_ok=len(s) <= eps * h.n,
         degree_ok=h.min_degree() > thr,
-    )
-
-
-# ---------------------------------------------------------------------------
-# criticality
-
-
-def is_edge_critical(g: RGraph) -> bool:
-    """Whether deleting some single edge drops the chromatic number."""
-    if g.r != 2:
-        raise ValueError("edge criticality applies to 2-graphs")
-    if not g.edges:
-        return False
-    chi = chromatic_number(g)
-    for i in range(len(g.edges)):
-        rest = RGraph(2, g.n, g.edges[:i] + g.edges[i + 1 :])
-        if chromatic_number(rest) < chi:
-            return True
-    return False
-
-
-def is_matching_critical(g: RGraph) -> bool:
-    """Whether deleting some matching drops the chromatic number."""
-    if g.r != 2:
-        raise ValueError("matching criticality applies to 2-graphs")
-    if not g.edges:
-        return False
-    chi = chromatic_number(g)
-    masks = [mask_of(e) for e in g.edges]
-
-    def search(start: int, used: int, chosen: list[int]) -> bool:
-        if chosen:
-            rest = RGraph(2, g.n, tuple(e for i, e in enumerate(g.edges) if i not in chosen))
-            if chromatic_number(rest) < chi:
-                return True
-        for i in range(start, len(masks)):
-            if masks[i] & used:
-                continue
-            chosen.append(i)
-            if search(i + 1, used | masks[i], chosen):
-                return True
-            chosen.pop()
-        return False
-
-    return search(0, 0, [])
-
-
-# ---------------------------------------------------------------------------
-# greedy selection inside a blowup
-
-
-FOUND = "FOUND"
-ABSENT = "ABSENT"
-SUSPICIOUS = "SUSPICIOUS"
-
-
-@dataclass(frozen=True)
-class EmbedResult:
-    status: str
-    selection: Optional[dict[int, int]] = field(default=None, compare=False)
-    hypotheses: dict = field(default_factory=dict, compare=False)
-    trials: int = 0
-
-
-def _rainbow_count(h: RGraph, class_of: Sequence[int], classes: tuple[int, ...]) -> int:
-    want = set(classes)
-    count = 0
-    for e in h.edges:
-        if {class_of[v] for v in e} == want and len(want) == len(e):
-            count += 1
-    return count
-
-
-def greedy_embed(
-    h: RGraph,
-    partition: VertexPartition,
-    g: RGraph,
-    t_classes: Iterable[int],
-    s_vertices: Iterable[int],
-    eta: float,
-    *,
-    trials: int = 10_000,
-    seed: int = 0,
-) -> EmbedResult:
-    """Randomized search for one vertex per class in ``t_classes`` such that
-    the selected set carries the pattern's blowup edges inside ``h`` and the
-    links of every vertex in ``s_vertices`` restricted to the selection.
-
-    Absence after the trial budget is reported as SUSPICIOUS when the class
-    sizes and density hypotheses that make a selection likely all hold; it is
-    never a refutation.
-    """
-    if partition.class_count != g.n or len(partition.assignment) != h.n:
-        raise ValueError("partition must assign h's vertices to g's vertex classes")
-    t = sorted(set(t_classes))
-    s = sorted(set(s_vertices))
-    if any(not 0 <= j < g.n for j in t):
-        raise ValueError("t_classes outside pattern vertex range")
-    for v in s:
-        if not 0 <= v < h.n or partition.assignment[v] in t:
-            raise ValueError("s_vertices must live in classes outside t_classes")
-    classes = partition.classes
-    class_of = partition.assignment
-    t_set = set(t)
-
-    g_edges_in_t = [e for e in g.edges if set(e) <= t_set]
-    link_edges = {
-        v: [
-            tuple(sorted(set(e) - {class_of[v]}))
-            for e in g.edges
-            if class_of[v] in e and set(e) - {class_of[v]} <= t_set
-        ]
-        for v in s
-    }
-
-    g_edge_set = set(g.edges)
-
-    def hypothesis_report() -> dict:
-        n = h.n
-        size_ok = all(len(classes[j]) >= (len(s) + 1) * len(t) * eta ** (1 / h.r) * n for j in t)
-        density_ok = True
-        for combo in itertools.combinations(t, h.r):
-            have = _rainbow_count(h, class_of, combo)
-            want = prod(len(classes[j]) for j in combo) if combo in g_edge_set else 0
-            if have < want - eta * n**h.r:
-                density_ok = False
-        link_ok = True
-        for v in s:
-            for combo in itertools.combinations(t, h.r - 1):
-                full = tuple(sorted(set(combo) | {class_of[v]}))
-                if full not in g_edge_set:
-                    continue
-                want = prod(len(classes[j]) for j in combo)
-                have = sum(
-                    1
-                    for e in h.edges
-                    if v in e and sorted(class_of[u] for u in e if u != v) == list(combo)
-                )
-                if have < want - eta * n ** (h.r - 1):
-                    link_ok = False
-        return {"class_sizes": size_ok, "pair_density": density_ok, "link_density": link_ok}
-
-    def verify(sel: dict[int, int]) -> bool:
-        for e in g_edges_in_t:
-            if mask_of(sel[j] for j in e) not in h.edge_mask_set:
-                return False
-        for v in s:
-            for rest in link_edges[v]:
-                if mask_of([v] + [sel[j] for j in rest]) not in h.edge_mask_set:
-                    return False
-        return True
-
-    if any(not classes[j] for j in t):
-        return EmbedResult(ABSENT, None, hypothesis_report(), 0)
-
-    rng = random.Random(seed)
-    for trial in range(1, trials + 1):
-        sel = {j: rng.choice(classes[j]) for j in t}
-        if verify(sel):
-            return EmbedResult(FOUND, sel, hypothesis_report(), trial)
-    hyp = hypothesis_report()
-    status = SUSPICIOUS if all(hyp.values()) else ABSENT
-    return EmbedResult(status, None, hyp, trials)
-
-
-# ---------------------------------------------------------------------------
-# near-extremal structure report
-
-
-@dataclass(frozen=True)
-class NearTuranReport:
-    edge_hypothesis: bool
-    degree_hypothesis: bool
-    size_bound: float
-    size_worst: float
-    neighborhood_bound: float
-    neighborhood_worst: float
-    link_bound: float
-    link_worst: float
-
-    @property
-    def sizes_ok(self) -> bool:
-        return self.size_worst <= self.size_bound
-
-    @property
-    def neighborhoods_ok(self) -> bool:
-        return self.neighborhood_worst <= self.neighborhood_bound
-
-    @property
-    def links_ok(self) -> bool:
-        return self.link_worst <= self.link_bound
-
-
-def _elementary_symmetric(vals: list[int], k: int) -> int:
-    """The k-th elementary symmetric polynomial of ``vals``, by the recurrence
-    e_j(x_1..x_i) = e_j(x_1..x_{i-1}) + x_i * e_{j-1}(x_1..x_{i-1})."""
-    e = [1] + [0] * k
-    for x in vals:
-        for j in range(k, 0, -1):
-            e[j] += x * e[j - 1]
-    return e[k]
-
-
-def near_turan_check(h: RGraph, partition: VertexPartition, m: int, zeta: float) -> NearTuranReport:
-    """Quantitative structure of a near-extremal multipartite coloring: part
-    sizes near n/m, near-complete cross neighborhoods, small link deficiency.
-    Hypotheses are evaluated, conclusions measured; asserting is the caller's
-    business and only legitimate under the hypotheses."""
-    if partition.class_count != m or len(partition.assignment) != h.n:
-        raise ValueError("partition must have m classes over the graph's vertices")
-    for e in h.edges:
-        if len({partition.assignment[v] for v in e}) != h.r:
-            raise ValueError("partition is not a complete-multipartite coloring of the graph")
-    n, r = h.n, h.r
-    sizes = [len(c) for c in partition.classes]
-    c1 = sqrt(m ** (r - 1) * (m - 1) / comb(m, r))
-    c2 = r * comb(m - 1, r - 1) * c1 / m ** (r - 2)
-
-    edge_hyp = len(h.edges) >= (comb(m, r) / m**r - zeta) * n**r
-    degree_hyp = h.min_degree() >= (comb(m - 1, r - 1) / m ** (r - 1) - zeta) * n ** (r - 1)
-
-    size_worst = max((abs(s - n / m) for s in sizes), default=0.0)
-    size_bound = c1 * sqrt(zeta) * n
-
-    nb_worst = 0.0
-    for v in range(h.n):
-        i = partition.assignment[v]
-        for j in range(m):
-            if j == i:
-                continue
-            missing = sum(1 for u in partition.classes[j] if not (h.covered_adj[v] >> u) & 1)
-            nb_worst = max(nb_worst, float(missing))
-    nb_bound = 2 * c1 * sqrt(zeta) * n
-
-    link_worst = 0.0
-    for v in range(h.n):
-        i = partition.assignment[v]
-        others = [len(partition.classes[j]) for j in range(m) if j != i]
-        full_link = _elementary_symmetric(others, r - 1)
-        link_worst = max(link_worst, float(full_link - h.degrees[v]))
-    link_bound = c2 * sqrt(zeta) * n ** (r - 1)
-
-    return NearTuranReport(
-        edge_hyp, degree_hyp, size_bound, size_worst, nb_bound, nb_worst, link_bound, link_worst
     )
 
 
@@ -836,10 +529,15 @@ def scan_stability(
     degree kind: qualifying graphs must lie in the hull outright.
     vertex/edge kind: their deletion distance must be within delta * n or
     delta * |edges|.
+
+    An empty range (``n_lo > n_hi``) raises ``ValueError``: it would scan
+    nothing and report clean.
     """
     if kind not in ("degree", "vertex", "edge"):
         raise ValueError("kind must be degree|vertex|edge")
     lo, hi = n_range
+    if lo > hi:
+        raise ValueError(f"empty vertex range {lo}..{hi}: nothing to scan")
     r = fam.r
     scanned = 0
     counterexamples: list[CounterexampleRecord] = []

@@ -353,33 +353,24 @@ class ResultRecord:
     outputs: dict
 
 
-def emit_table(records: list["ResultRecord"], *, wall_time: bool = True) -> str:
-    """Fixed-column CSV over result records.
+# JSON types of params.  A bool is not an int or a number, though Python
+# makes it both; widen "number" here to accept more spellings of one.
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "int": (int,), "str": (str,), "bool": (bool,), "number": (int, float),
+}
 
-    Columns: ``config_digest,command,tool_version,wall_time_s``; the wall-time
-    column can be suppressed for byte-stable comparisons.
-    """
-    header = "config_digest,command,tool_version" + (",wall_time_s" if wall_time else "")
-    rows = [header]
-    for rec in records:
-        cmd = rec.outputs.get("payload", {}).get("command", "")
-        row = f"{rec.config_digest},{cmd},{rec.tool_version}"
-        if wall_time:
-            row += f",{fmt_float(rec.wall_time_s)}"
-        rows.append(row)
-    return "\n".join(rows) + "\n"
-
-
-# command -> (required params, optional params with their defaults)
-_PARAMS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
-    "ex": (("n", "family"), {"method": "both", "pmax": None}),
-    "lagrangian": (("input",), {"supports": False, "restarts": 64}),
-    "symmetrize": (("input", "family"), {"mode": "class"}),
-    "scan": (("family", "class", "n_lo", "n_hi", "eps"), {"kind": "degree", "delta": 0.0,
-                                                          "pi_ref": None}),
-    "check": (("input",), {"class": None, "family": None}),
-    "extendable": (("input", "vertex", "class", "zeta", "pi_ref"), {}),
-    "enum": (("n", "r"), {"family": None}),
+# command -> (required params with their JSON types, optional params with
+# their JSON types and defaults); None passes only where it is the default
+_PARAMS: dict[str, tuple[dict[str, str], dict[str, tuple[str, Any]]]] = {
+    "ex": ({"n": "int", "family": "str"}, {"method": ("str", "both"), "pmax": ("int", None)}),
+    "lagrangian": ({"input": "str"}, {"supports": ("bool", False), "restarts": ("int", 64)}),
+    "symmetrize": ({"input": "str", "family": "str"}, {"mode": ("str", "class")}),
+    "scan": ({"family": "str", "class": "str", "n_lo": "int", "n_hi": "int", "eps": "number"},
+             {"kind": ("str", "degree"), "delta": ("number", 0.0), "pi_ref": ("number", None)}),
+    "check": ({"input": "str"}, {"class": ("str", None), "family": ("str", None)}),
+    "extendable": ({"input": "str", "vertex": "int", "class": "str", "zeta": "number",
+                    "pi_ref": "number"}, {}),
+    "enum": ({"n": "int", "r": "int"}, {"family": ("str", None)}),
 }
 
 _DISPATCH: dict[str, Callable[..., dict]] = {
@@ -400,7 +391,8 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
 
     ``outputs`` maps logical names to paths.  The one name is ``json``, which
     stores the canonical payload; any other name raises ``FormatError``, as
-    does a missing or unknown name in ``params``, before the command runs.
+    does a missing or unknown name in ``params`` or a value of the wrong JSON
+    type, before the command runs.
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")
@@ -411,11 +403,19 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
     missing = [k for k in required if k not in config.params]
     if missing:
         raise FormatError(f"{config.command} params missing: {missing}")
-    unknown = sorted(config.params.keys() - set(required) - optional.keys())
+    unknown = sorted(config.params.keys() - required.keys() - optional.keys())
     if unknown:
         raise FormatError(f"unknown {config.command} params: {unknown}")
+    for name, value in sorted(config.params.items()):
+        # a required param has no default, so None never passes it
+        kind, default = optional[name] if name in optional else (required[name], ...)
+        if value is None and default is None:
+            continue
+        if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise FormatError(f"{config.command} param {name!r} must be {kind}, got {value!r}")
+    defaults = {name: default for name, (_, default) in optional.items()}
     started = time.monotonic()
-    payload = _DISPATCH[config.command]({**optional, **config.params}, config.seed)
+    payload = _DISPATCH[config.command]({**defaults, **config.params}, config.seed)
     elapsed = time.monotonic() - started
     written = {}
     if "json" in config.outputs:

@@ -84,10 +84,6 @@ class TestExpansion:
         g = cons.expansion(base)
         assert g.n == 4 and len(g.edges) == 6
 
-    def test_vertex_count_param_checked(self):
-        with pytest.raises(ValueError):
-            cons.expansion(RGraph(3, 4, ()), 5)
-
 
 class TestHingeGraph:
     def test_r3_q5_matches_set_builder(self):

@@ -17,12 +17,10 @@ from extremal.lagrangian import (
     gradient,
     lambda_complete,
     maclaurin_residual,
-    max_lagrangian_over_free,
     maximize,
     project_to_simplex,
     semibipartite_residual,
 )
-from extremal.morphism import generalized_triangles, is_free, single_graph
 from extremal.rgraph import RGraph
 
 from conftest import random_rgraph
@@ -409,35 +407,3 @@ class TestSemibipartiteResidual:
         for r in range(2, 9):
             for x in np.linspace(0.0, 1.0, 2001):
                 assert semibipartite_residual(r, float(x)) >= -1e-12
-
-
-class TestFreeSupremum:
-    def test_triangle_free(self):
-        est = max_lagrangian_over_free(single_graph(cons.complete_graph(3)), 5)
-        assert abs(est.value - 0.25) <= 1e-9
-
-    def test_sigma3(self):
-        est = max_lagrangian_over_free(generalized_triangles(3), 5)
-        assert est.value >= 1 / 27 - 1e-12
-        assert is_free(est.witness, generalized_triangles(3))
-
-    def test_nothing_forbidden(self):
-        fam = single_graph(cons.complete_rgraph(6, 3))  # cannot fit in 5 vertices
-        est = max_lagrangian_over_free(fam, 5)
-        assert abs(est.value - float(lambda_complete(5, 3))) <= 1e-9
-
-    def test_restriction_filter(self):
-        from extremal.stability import krl_coloring
-
-        est = max_lagrangian_over_free(
-            single_graph(cons.complete_graph(3)),
-            5,
-            extra_filter=lambda g: krl_coloring(g, 2) is None,
-        )
-        # triangle-free and not bipartite on <= 5 vertices: the 5-cycle
-        assert abs(est.value - maximize_value_c5()) <= 1e-9
-
-
-def maximize_value_c5():
-    c5 = RGraph(2, 5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)))
-    return maximize(c5).value

@@ -206,6 +206,13 @@ class TestExPatterns:
         for w in res.witnesses:
             assert is_free(w, K3FAM) and len(w.edges) == res.value
 
+    def test_blowup_not_free_raises(self, monkeypatch):
+        # the patterns come from morphism's enumeration; only the check of
+        # each witness blowup sees the patched verdict
+        monkeypatch.setattr(symmetrization, "is_free", lambda h, fam: False)
+        with pytest.raises(SoundnessError, match="not blowup-invariant"):
+            ex_via_patterns(5, K3FAM)
+
     def test_symmetrize_never_beats_patterns(self):
         rng = random.Random(12)
         for _ in range(15):

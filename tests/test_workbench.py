@@ -123,6 +123,39 @@ class TestRun:
         run(ExperimentConfig("ex", {"n": 5, "family": "k3"}))
         assert calls == [{"n": 5, "family": "k3", "method": "both", "pmax": None}]
 
+    @pytest.mark.parametrize(
+        "command, params, ok",
+        [
+            ("enum", {"n": True, "r": 2}, False),  # a bool is not an int
+            ("enum", {"n": "7", "r": 2}, False),
+            ("enum", {"n": 4, "r": 2, "family": 5}, False),
+            ("ex", {"n": 5, "family": "k3", "pmax": 2.0}, False),
+            ("lagrangian", {"input": "k3.hgr", "supports": 1}, False),
+            ("scan", {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5,
+                      "eps": "0.1"}, False),
+            ("scan", {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5,
+                      "eps": False}, False),
+            # None passes only where it is the default
+            ("extendable", {"input": "g.hgr", "vertex": 0, "class": "bipartite", "zeta": 0.1,
+                            "pi_ref": None}, False),
+            ("symmetrize", {"input": "g.hgr", "family": "k3", "mode": None}, False),
+            ("scan", {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5, "eps": 0,
+                      "delta": 0.5, "pi_ref": None}, True),
+            ("check", {"input": "g.hgr", "class": None, "family": "k3"}, True),
+            ("ex", {"n": 5, "family": "k3", "pmax": None}, True),
+        ],
+    )
+    def test_mistyped_params_refused_before_the_command_runs(self, monkeypatch, command, params,
+                                                             ok):
+        calls = []
+        monkeypatch.setitem(_DISPATCH, command, lambda p, seed: calls.append(p) or {})
+        if ok:
+            run(ExperimentConfig(command, params))
+        else:
+            with pytest.raises(FormatError, match="must be"):
+                run(ExperimentConfig(command, params))
+        assert len(calls) == ok
+
     def test_run_ex_unknown_method(self):
         with pytest.raises(ValueError, match="brute\\|patterns\\|both"):
             run(ExperimentConfig("ex", {"n": 4, "family": "k3", "method": "bogus"}))
@@ -132,22 +165,6 @@ class TestRun:
         hgr.dump(cons.complete_graph(3), p)
         rec = run(ExperimentConfig("lagrangian", {"input": str(p), "supports": True}))
         assert abs(rec.outputs["payload"]["value"] - 1 / 3) <= 1e-9
-
-    def test_emit_table(self, tmp_path):
-        from extremal.workbench import emit_table
-
-        p = tmp_path / "k3.hgr"
-        hgr.dump(cons.complete_graph(3), p)
-        recs = [
-            run(ExperimentConfig("ex", {"n": 4, "family": "k3", "method": "brute"})),
-            run(ExperimentConfig("lagrangian", {"input": str(p)})),
-        ]
-        table = emit_table(recs)
-        lines = table.splitlines()
-        assert lines[0] == "config_digest,command,tool_version,wall_time_s"
-        assert lines[1].split(",")[1] == "ex" and lines[2].split(",")[1] == "lagrangian"
-        stable = emit_table(recs, wall_time=False)
-        assert stable == emit_table(recs, wall_time=False)
 
 
 class TestCli:
@@ -197,6 +214,16 @@ class TestCli:
              "--expect-clean"],
         )
         assert res.exit_code == 4
+
+    def test_scan_empty_range_exit_2(self, runner):
+        # 9..5 holds no n: refused, not reported clean
+        res = runner.invoke(
+            main,
+            ["scan", "--family", "k3", "--class", "bipartite", "--n", "9..5", "--eps", "0.1",
+             "--expect-clean"],
+        )
+        assert res.exit_code == 2
+        assert "empty vertex range" in res.output
 
     def test_scan_clean_outputs(self, runner, tmp_path):
         jout = tmp_path / "scan.json"
