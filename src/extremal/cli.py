@@ -46,9 +46,13 @@ def main(ctx: click.Context, seed: int) -> None:
     ctx.obj = {"seed": seed}
 
 
-def _emit(payload: dict, json_path: Optional[str]) -> None:
-    if json_path:
-        Path(json_path).write_text(canonical_json(payload))
+def _run(command: str, params: dict, json_path: Optional[str]) -> dict:
+    """Run one computing subcommand through ``workbench.run`` under the
+    group's seed, writing the payload to ``json_path`` when one is given."""
+    seed = click.get_current_context().obj["seed"]
+    outputs = {"json": json_path} if json_path else {}
+    config = workbench.ExperimentConfig(command, params, seed, outputs)
+    return workbench.run(config).outputs["payload"]
 
 
 @main.command()
@@ -59,18 +63,7 @@ def _emit(payload: dict, json_path: Optional[str]) -> None:
 def make(tag: str, params: tuple[str, ...], output: str) -> None:
     """Generate a named construction (turan, turanr, complete, gentriangle,
     hinge, matching, sunflower, semibip, turanplus, expansion <file>)."""
-    if tag == "expansion":
-        if len(params) != 1:
-            raise FormatError("expansion takes one argument: the base graph file")
-        from .constructions import expansion
-
-        g = expansion(hgr.load(params[0]))
-    else:
-        try:
-            ints = [int(p) for p in params]
-        except ValueError as exc:
-            raise FormatError(f"construction parameters must be integers: {exc}") from exc
-        g = workbench.op_make(tag, ints)
+    g = workbench.op_make(tag, params)
     hgr.dump(g, output)
     click.echo(f"wrote {output}: r={g.r} n={g.n} m={len(g.edges)}")
 
@@ -83,8 +76,7 @@ def make(tag: str, params: tuple[str, ...], output: str) -> None:
 @_guarded
 def check(path: str, target: Optional[str], family: Optional[str], json_path: Optional[str]) -> None:
     """Report hull membership / freeness of a graph file."""
-    payload = workbench.op_check(path, target, family)
-    _emit(payload, json_path)
+    payload = _run("check", {"input": path, "class": target, "family": family}, json_path)
     for key in ("in_hull", "member", "free"):
         if key in payload:
             click.echo(f"{key}: {payload[key]}")
@@ -102,8 +94,7 @@ def check(path: str, target: Optional[str], family: Optional[str], json_path: Op
 def ex(n: int, family: str, method: str, pmax: Optional[int], json_path: Optional[str],
        witness_dir: Optional[str]) -> None:
     """Exact Turan number with extremal witnesses."""
-    payload = workbench.op_ex(n, family, method, pmax)
-    _emit(payload, json_path)
+    payload = _run("ex", {"n": n, "family": family, "method": method, "pmax": pmax}, json_path)
     if witness_dir:
         out = Path(witness_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -120,13 +111,12 @@ def ex(n: int, family: str, method: str, pmax: Optional[int], json_path: Optiona
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--json", "json_path", default=None)
-@click.pass_context
 @_guarded
-def lagrangian(ctx: click.Context, path: str, supports: bool, restarts: int, fmt: str,
+def lagrangian(path: str, supports: bool, restarts: int, fmt: str,
                json_path: Optional[str]) -> None:
     """Maximize the edge polynomial of a graph file over the simplex."""
-    payload = workbench.op_lagrangian(path, supports, restarts, ctx.obj["seed"])
-    _emit(payload, json_path)
+    params = {"input": path, "supports": supports, "restarts": restarts}
+    payload = _run("lagrangian", params, json_path)
     if fmt == "json":
         click.echo(canonical_json(payload), nl=False)
     else:
@@ -146,8 +136,7 @@ def lagrangian(ctx: click.Context, path: str, supports: bool, restarts: int, fmt
 def symmetrize(path: str, family: str, mode: str, trace_path: Optional[str],
                output: Optional[str]) -> None:
     """Run symmetrization to a fixed point."""
-    payload = workbench.op_symmetrize(path, family, mode)
-    _emit(payload, trace_path)
+    payload = _run("symmetrize", {"input": path, "family": family, "mode": mode}, trace_path)
     if output:
         hgr.dump(hgr.from_json_obj(payload["final"]), output)
     final = payload["final"]
@@ -177,8 +166,9 @@ def scan(family: str, target: str, kind: str, n_range: str, eps: float, delta: f
         lo, hi = (int(tok) for tok in n_range.split(".."))
     except ValueError as exc:
         raise FormatError(f"bad --n range {n_range!r}, expected A..B") from exc
-    payload = workbench.op_scan(family, target, kind, lo, hi, eps, delta, piref)
-    _emit(payload, json_path)
+    params = {"family": family, "class": target, "kind": kind, "n_lo": lo, "n_hi": hi,
+              "eps": eps, "delta": delta, "pi_ref": piref}
+    payload = _run("scan", params, json_path)
     if csv_path:
         rows = ["n,min_degree,edges,distance,bound"]
         for c in payload["counterexamples"]:
@@ -202,8 +192,8 @@ def scan(family: str, target: str, kind: str, n_range: str, eps: float, delta: f
 def extendable(path: str, vertex: int, target: str, zeta: float, piref: float,
                json_path: Optional[str]) -> None:
     """Vertex-extendability verdict for one graph and one vertex."""
-    payload = workbench.op_extendable(path, vertex, target, zeta, piref)
-    _emit(payload, json_path)
+    params = {"input": path, "vertex": vertex, "class": target, "zeta": zeta, "pi_ref": piref}
+    payload = _run("extendable", params, json_path)
     click.echo(f"{payload['status']} (degree_ok={payload['degree_ok']}, "
                f"base_in_hull={payload['base_in_hull']}, self_in_hull={payload['self_in_hull']})")
 
@@ -218,8 +208,7 @@ def extendable(path: str, vertex: int, target: str, zeta: float, piref: float,
 def enum(n: int, uniformity: int, family: Optional[str], outdir: Optional[str],
          json_path: Optional[str]) -> None:
     """Isomorph-free enumeration."""
-    payload = workbench.op_enum(n, uniformity, family)
-    _emit(payload, json_path)
+    payload = _run("enum", {"n": n, "r": uniformity, "family": family}, json_path)
     if outdir:
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)

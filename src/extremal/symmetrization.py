@@ -15,12 +15,11 @@ brute force for blowup-invariant families.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
-from .errors import SoundnessError
+from .errors import BudgetError, SoundnessError
 from .isomorphism import CANONICAL_MAX_N, canonical_form, canonical_relabel, check_enum_budget
 from .morphism import FamilySpec, free_representatives, is_free, two_covered_free_patterns
 from .rgraph import (
@@ -29,12 +28,15 @@ from .rgraph import (
     blowup,
     class_energy,
     equivalence_classes,
+    is_symmetrized,
     mask_of,
     pair_covered,
 )
 
 CLASS_MODE = "class"
 VERTEX_MODE = "vertex"
+# the pattern route refuses a pattern with more compositions of n than this
+COMPOSITION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class ExResult:
     family: FamilySpec
     value: int
     witnesses: tuple[RGraph, ...]
-    method: str  # "bruteforce" | "patterns" | "patterns-heuristic" | "both-agree"
+    method: str  # "bruteforce" | "patterns" | "both-agree"
 
 
 def _select_pair(h: RGraph) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -120,18 +122,6 @@ def _step(
     return absorbed, donor, out
 
 
-def class_symmetrize_step(h: RGraph, fam: FamilySpec) -> Optional[RGraph]:
-    """One whole-class link replacement, or None when already symmetrized."""
-    step = _step(h, fam, CLASS_MODE)
-    return None if step is None else step[2]
-
-
-def vertex_symmetrize_step(h: RGraph, fam: FamilySpec) -> Optional[RGraph]:
-    """One single-vertex link replacement, or None when already symmetrized."""
-    step = _step(h, fam, VERTEX_MODE)
-    return None if step is None else step[2]
-
-
 def symmetrize(h: RGraph, fam: FamilySpec, mode: str = CLASS_MODE) -> SymTrace:
     """Iterate symmetrization steps to a symmetrized, family-free graph.
 
@@ -177,7 +167,7 @@ def symmetrize(h: RGraph, fam: FamilySpec, mode: str = CLASS_MODE) -> SymTrace:
         cur = nxt
     else:
         raise SoundnessError("symmetrization failed to terminate within its lex bound")
-    if _select_pair(cur) is not None:
+    if not is_symmetrized(cur):
         raise SoundnessError("symmetrization stopped with a pair still to symmetrize")
     return SymTrace(tuple(steps), cur)
 
@@ -218,31 +208,26 @@ def _blowup_size(g: RGraph, sizes: tuple[int, ...]) -> int:
     return total
 
 
-def ex_via_patterns(
-    n: int,
-    fam: FamilySpec,
-    p_max: Optional[int] = None,
-    *,
-    exhaustive_limit: int = 10**6,
-) -> ExResult:
+def ex_via_patterns(n: int, fam: FamilySpec, p_max: Optional[int] = None) -> ExResult:
     """Maximum edge count over proper blowups of two-covered family-free
-    patterns.  For blowup-invariant families (caller-asserted) with
-    ``p_max = n`` and an exhaustive composition search this equals the
-    brute-force value: symmetrized graphs are exactly proper blowups of their
-    two-covered quotients, and symmetrization never loses edges."""
+    patterns, searching every composition of ``n`` into each pattern's class
+    sizes.  For blowup-invariant families (caller-asserted) with ``p_max = n``
+    this equals the brute-force value: symmetrized graphs are exactly proper
+    blowups of their two-covered quotients, and symmetrization never loses
+    edges.  A pattern with more than ``COMPOSITION_BUDGET`` compositions
+    raises ``BudgetError``."""
     p_cap = min(p_max if p_max is not None else n, n)
     patterns = two_covered_free_patterns(fam, p_cap)
     best_val = 0
     best: list[tuple[RGraph, tuple[int, ...]]] = []
-    heuristic = False
     for pat in patterns:
-        p = pat.n
-        if comb(n - 1, p - 1) <= exhaustive_limit:
-            candidates = _compositions(n, p)
-        else:
-            heuristic = True
-            candidates = _rounded_candidates(pat, n)
-        for sizes in candidates:
+        count = comb(n - 1, pat.n - 1)
+        if count > COMPOSITION_BUDGET:
+            raise BudgetError(
+                f"a {pat.n}-vertex pattern has {count} compositions of n={n}, "
+                f"past the budget of {COMPOSITION_BUDGET}"
+            )
+        for sizes in _compositions(n, pat.n):
             val = _blowup_size(pat, sizes)
             if val > best_val:
                 best_val = val
@@ -250,6 +235,7 @@ def ex_via_patterns(
             elif val == best_val:
                 best.append((pat, sizes))
     witnesses: dict[tuple, RGraph] = {}
+    pattern_keys: dict[RGraph, tuple] = {}
     for pat, sizes in best:
         g, _ = blowup(pat, sizes)
         if g.n <= CANONICAL_MAX_N:
@@ -257,37 +243,17 @@ def ex_via_patterns(
             g = canonical_relabel(g)
             key = tuple(sorted(g.edge_masks))
         else:
-            key = (canonical_form(pat).key, tuple(sorted(sizes)))
+            if pat not in pattern_keys:
+                pattern_keys[pat] = canonical_form(pat).key
+            key = (pattern_keys[pat], tuple(sorted(sizes)))
         if key not in witnesses:
             if not is_free(g, fam):
                 raise SoundnessError(
                     f"pattern blowup is not family-free; {fam.label} is not blowup-invariant"
                 )
             witnesses[key] = g
-    method = "patterns-heuristic" if heuristic else "patterns"
     wit = tuple(witnesses[k] for k in sorted(witnesses))
-    return ExResult(n, fam, best_val, wit, method)
-
-
-def _rounded_candidates(pat: RGraph, n: int):
-    """Continuous maximizer rounded by largest remainders, plus its +-1 cube."""
-    from .lagrangian import maximize
-
-    res = maximize(pat)
-    target = [w * n for w in res.maximizer.weights]
-    base = [int(t) for t in target]
-    rem = n - sum(base)
-    order = sorted(range(pat.n), key=lambda i: target[i] - base[i], reverse=True)
-    for i in order[:rem]:
-        base[i] += 1
-    seen = set()
-    deltas = itertools.product((-1, 0, 1), repeat=pat.n)
-    for d in deltas:
-        cand = tuple(b + x for b, x in zip(base, d))
-        if sum(cand) != n or any(c < 1 for c in cand) or cand in seen:
-            continue
-        seen.add(cand)
-        yield cand
+    return ExResult(n, fam, best_val, wit, "patterns")
 
 
 def ex(n: int, fam: FamilySpec, method: str = "both", p_max: Optional[int] = None) -> ExResult:

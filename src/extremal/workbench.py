@@ -1,10 +1,11 @@
-"""Experiment configs, result records, and the shared command implementations.
+"""Experiment configs, result records, and the command implementations.
 
-Every CLI subcommand is a thin wrapper over an ``op_*`` function here, and
-``run`` replays a JSON config through the same functions, so a config plus a
-seed fully determines the outputs.  Output JSON is canonical (sorted keys,
-two-space indent, trailing newline) and CSV floats carry 12 significant
-digits; wall time lives only on the result record, never in output files.
+``run`` is the one way into the ``op_*`` functions: it checks a config's
+params against ``_PARAMS``, fills in the defaults and dispatches.  Every
+computing CLI subcommand builds such a config, so a config plus a seed fully
+determines the outputs.  Output JSON is canonical (sorted keys, two-space
+indent, trailing newline) and CSV floats carry 12 significant digits; wall
+time lives only on the result record, never in output files.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
 from . import constructions as cons
@@ -125,7 +126,7 @@ def preset_pi(fam: FamilySpec) -> Optional[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# command implementations (shared by the CLI and by run())
+# command implementations: ``make`` for the CLI, the rest through run()
 
 MAKE_TAGS = {
     "turan": (cons.turan_graph, 2),
@@ -140,38 +141,46 @@ MAKE_TAGS = {
 }
 
 
-def op_make(tag: str, params: list[int]) -> RGraph:
+def op_make(tag: str, params: Sequence[str]) -> RGraph:
+    """The named construction from its command-line arguments."""
     if tag == "expansion":
-        raise FormatError("expansion needs a base graph file; use `make expansion <file>`")
+        if len(params) != 1:
+            raise FormatError("expansion takes one argument: the base graph file")
+        return cons.expansion(hgr.load(params[0]))
+    try:
+        ints = [int(x) for x in params]
+    except ValueError as exc:
+        raise FormatError(f"construction parameters must be integers: {exc}") from exc
     if tag not in MAKE_TAGS:
         raise FormatError(f"unknown construction {tag!r}; choose from {sorted(MAKE_TAGS)}")
     fn, arity = MAKE_TAGS[tag]
-    if len(params) != arity:
-        raise FormatError(f"{tag} takes {arity} integer parameter(s), got {len(params)}")
+    if len(ints) != arity:
+        raise FormatError(f"{tag} takes {arity} integer parameter(s), got {len(ints)}")
     try:
-        return fn(*params)
+        return fn(*ints)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
-def op_ex(n: int, family: str, method: str, p_max: Optional[int]) -> dict:
-    res = ex(n, parse_family(family), method, p_max)
+def op_ex(p: dict, seed: int) -> dict:
+    res = ex(p["n"], parse_family(p["family"]), p["method"], p["pmax"])
     return {
         "command": "ex",
-        "n": n,
-        "family": family,
+        "n": p["n"],
+        "family": p["family"],
         "method": res.method,
         "value": res.value,
         "witnesses": [hgr.to_json_obj(w) for w in res.witnesses],
     }
 
 
-def op_lagrangian(path: str, supports: bool, restarts: int, seed: int) -> dict:
-    g = hgr.load(path)
-    res = maximize(g, restarts=restarts, seed=seed, support_limit=g.n if supports else 12)
+def op_lagrangian(p: dict, seed: int) -> dict:
+    g = hgr.load(p["input"])
+    limit = g.n if p["supports"] else 12
+    res = maximize(g, restarts=p["restarts"], seed=seed, support_limit=limit)
     return {
         "command": "lagrangian",
-        "input": str(path),
+        "input": p["input"],
         "value": res.value,
         "method": res.method,
         "gap": res.gap,
@@ -180,15 +189,13 @@ def op_lagrangian(path: str, supports: bool, restarts: int, seed: int) -> dict:
     }
 
 
-def op_symmetrize(path: str, family: str, mode: str) -> dict:
-    g = hgr.load(path)
-    fam = parse_family(family)
-    trace = symmetrize(g, fam, mode)
+def op_symmetrize(p: dict, seed: int) -> dict:
+    trace = symmetrize(hgr.load(p["input"]), parse_family(p["family"]), p["mode"])
     return {
         "command": "symmetrize",
-        "input": str(path),
-        "family": family,
-        "mode": mode,
+        "input": p["input"],
+        "family": p["family"],
+        "mode": p["mode"],
         "steps": [
             {
                 "kind": s.kind,
@@ -203,35 +210,27 @@ def op_symmetrize(path: str, family: str, mode: str) -> dict:
     }
 
 
-def op_scan(
-    family: str,
-    target: str,
-    kind: str,
-    n_lo: int,
-    n_hi: int,
-    eps: float,
-    delta: float,
-    pi_ref: Optional[float],
-) -> dict:
-    fam = parse_family(family)
-    spec = parse_class(target)
-    if pi_ref is None:
+def op_scan(p: dict, seed: int) -> dict:
+    fam = parse_family(p["family"])
+    spec = parse_class(p["class"])
+    if p["pi_ref"] is None:
         preset = preset_pi(fam)
         if preset is None:
             raise FormatError("no density preset for this family; pass --piref explicitly")
-        pi_val: float | Fraction = preset
+        pi_val = float(preset)
     else:
-        pi_val = pi_ref
-    verdict = scan_stability(fam, spec, kind, (n_lo, n_hi), eps, delta, float(pi_val))
+        pi_val = float(p["pi_ref"])
+    n_range = (p["n_lo"], p["n_hi"])
+    verdict = scan_stability(fam, spec, p["kind"], n_range, p["eps"], p["delta"], pi_val)
     return {
         "command": "scan",
-        "family": family,
-        "class": target,
-        "kind": kind,
-        "n_range": [n_lo, n_hi],
-        "eps": eps,
-        "delta": delta,
-        "pi_ref": float(pi_val),
+        "family": p["family"],
+        "class": p["class"],
+        "kind": p["kind"],
+        "n_range": list(n_range),
+        "eps": p["eps"],
+        "delta": p["delta"],
+        "pi_ref": pi_val,
         "scanned": verdict.scanned,
         "max_distance": verdict.max_distance,
         "heuristic": verdict.heuristic,
@@ -250,33 +249,32 @@ def op_scan(
     }
 
 
-def op_check(path: str, target: Optional[str], family: Optional[str]) -> dict:
-    g = hgr.load(path)
-    out: dict[str, Any] = {"command": "check", "input": str(path), "r": g.r, "n": g.n,
+def op_check(p: dict, seed: int) -> dict:
+    g = hgr.load(p["input"])
+    out: dict[str, Any] = {"command": "check", "input": p["input"], "r": g.r, "n": g.n,
                            "edges": len(g.edges)}
-    if target is not None:
-        spec = parse_class(target)
-        out["class"] = target
+    if p["class"] is not None:
+        spec = parse_class(p["class"])
+        out["class"] = p["class"]
         out["in_hull"] = in_hull(g, spec)
         out["member"] = class_membership(g, spec)
-    if family is not None:
-        fam = parse_family(family)
-        out["family"] = family
-        out["free"] = is_free(g, fam)
+    if p["family"] is not None:
+        out["family"] = p["family"]
+        out["free"] = is_free(g, parse_family(p["family"]))
     return out
 
 
-def op_extendable(path: str, v: int, target: str, zeta: float, pi_ref: float) -> dict:
-    g = hgr.load(path)
-    spec = parse_class(target)
-    verdict = check_vertex_extendable(g, v, spec, zeta, pi_ref)
+def op_extendable(p: dict, seed: int) -> dict:
+    g = hgr.load(p["input"])
+    verdict = check_vertex_extendable(g, p["vertex"], parse_class(p["class"]), p["zeta"],
+                                      p["pi_ref"])
     return {
         "command": "extendable",
-        "input": str(path),
-        "vertex": v,
-        "class": target,
-        "zeta": zeta,
-        "pi_ref": pi_ref,
+        "input": p["input"],
+        "vertex": p["vertex"],
+        "class": p["class"],
+        "zeta": p["zeta"],
+        "pi_ref": p["pi_ref"],
         "status": verdict.status,
         "degree_ok": verdict.degree_ok,
         "base_in_hull": verdict.base_in_hull,
@@ -285,16 +283,16 @@ def op_extendable(path: str, v: int, target: str, zeta: float, pi_ref: float) ->
     }
 
 
-def op_enum(n: int, r: int, family: Optional[str]) -> dict:
-    if family is not None:
-        reps = free_representatives(n, parse_family(family))
+def op_enum(p: dict, seed: int) -> dict:
+    if p["family"] is not None:
+        reps = free_representatives(p["n"], parse_family(p["family"]))
     else:
-        reps = enumerate_rgraphs(n, r)
+        reps = enumerate_rgraphs(p["n"], p["r"])
     return {
         "command": "enum",
-        "n": n,
-        "r": r,
-        "family": family,
+        "n": p["n"],
+        "r": p["r"],
+        "family": p["family"],
         "count": len(reps),
         "graphs": [hgr.to_json_obj(g) for g in reps],
     }
@@ -373,16 +371,9 @@ _PARAMS: dict[str, tuple[dict[str, str], dict[str, tuple[str, Any]]]] = {
     "enum": ({"n": "int", "r": "int"}, {"family": ("str", None)}),
 }
 
-_DISPATCH: dict[str, Callable[..., dict]] = {
-    "ex": lambda p, seed: op_ex(p["n"], p["family"], p["method"], p["pmax"]),
-    "lagrangian": lambda p, seed: op_lagrangian(p["input"], p["supports"], p["restarts"], seed),
-    "symmetrize": lambda p, seed: op_symmetrize(p["input"], p["family"], p["mode"]),
-    "scan": lambda p, seed: op_scan(p["family"], p["class"], p["kind"], p["n_lo"], p["n_hi"],
-                                    p["eps"], p["delta"], p["pi_ref"]),
-    "check": lambda p, seed: op_check(p["input"], p["class"], p["family"]),
-    "extendable": lambda p, seed: op_extendable(p["input"], p["vertex"], p["class"], p["zeta"],
-                                                p["pi_ref"]),
-    "enum": lambda p, seed: op_enum(p["n"], p["r"], p["family"]),
+_DISPATCH: dict[str, Callable[[dict, int], dict]] = {
+    "ex": op_ex, "lagrangian": op_lagrangian, "symmetrize": op_symmetrize, "scan": op_scan,
+    "check": op_check, "extendable": op_extendable, "enum": op_enum,
 }
 
 

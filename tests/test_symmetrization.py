@@ -21,14 +21,7 @@ from extremal.rgraph import (
     is_symmetrized,
     is_two_covered,
 )
-from extremal.symmetrization import (
-    class_symmetrize_step,
-    ex,
-    ex_bruteforce,
-    ex_via_patterns,
-    symmetrize,
-    vertex_symmetrize_step,
-)
+from extremal.symmetrization import _step, ex, ex_bruteforce, ex_via_patterns, symmetrize
 
 from conftest import cycle, random_free_rgraph
 
@@ -39,20 +32,20 @@ SIGMA3 = generalized_triangles(3)
 
 class TestSteps:
     def test_c5_class_step_gains_edges(self):
-        out = class_symmetrize_step(cycle(5), K3FAM)
-        assert out is not None and len(out.edges) >= 5
+        step = _step(cycle(5), K3FAM, "class")
+        assert step is not None and len(step[2].edges) >= 5
 
     def test_symmetrized_input_stops(self):
-        assert class_symmetrize_step(cons.turan_graph(5, 2), K3FAM) is None
-        assert vertex_symmetrize_step(cons.turan_graph(5, 2), K3FAM) is None
+        assert _step(cons.turan_graph(5, 2), K3FAM, "class") is None
+        assert _step(cons.turan_graph(5, 2), K3FAM, "vertex") is None
 
     def test_gen_triangle_has_step(self):
         t3 = cons.gen_triangle(3)
-        assert class_symmetrize_step(t3, SIGMA3) is not None
+        assert _step(t3, SIGMA3, "class") is not None
 
     def test_vertex_step_lex_increase(self):
         h = cycle(5)
-        out = vertex_symmetrize_step(h, K3FAM)
+        _, _, out = _step(h, K3FAM, "vertex")
         before = (len(h.edges), class_energy(h))
         after = (len(out.edges), class_energy(out))
         assert after > before
@@ -63,7 +56,7 @@ class TestSteps:
         # classes: {0,4} and {1,2,3}; make asymmetric: drop one edge
         h = RGraph(2, 5, ((0, 1), (0, 2), (0, 3), (4, 1)))
         parts = equivalence_classes(h)
-        out = vertex_symmetrize_step(h, K3FAM)
+        _, _, out = _step(h, K3FAM, "vertex")
         if len(out.edges) == len(h.edges):
             assert class_energy(out) - class_energy(h) >= 2
 
@@ -101,9 +94,9 @@ class TestSymmetrize:
             symmetrize(cons.complete_graph(3), K3FAM)
 
     def test_final_graph_is_checked_symmetrized(self, monkeypatch):
-        # the loop sees no pair, the closing check sees one
-        answers = iter([None, ((0,), (1,))])
-        monkeypatch.setattr(symmetrization, "_select_pair", lambda h: next(answers))
+        # a pair selection that stops at once; the closing check is
+        # rgraph.is_symmetrized, which C5 is not
+        monkeypatch.setattr(symmetrization, "_select_pair", lambda h: None)
         with pytest.raises(SoundnessError, match="still to symmetrize"):
             symmetrize(cycle(5), K3FAM)
 
@@ -193,13 +186,11 @@ class TestExPatterns:
         assert res.value == 8
         assert res.value == ex_bruteforce(6, SIGMA3).value
 
-    @pytest.mark.parametrize("n, fam, value", [(8, K3FAM, 16), (7, K4FAM, 16), (6, SIGMA3, 8)])
-    def test_heuristic_route_rounds_the_lagrangian_maximizer(self, n, fam, value):
-        """With room for no composition search, every pattern past one vertex
-        is sized by rounding its Lagrangian maximizer (``_rounded_candidates``)
-        and the +-1 cube around it; that still reaches ex(n)."""
-        res = ex_via_patterns(n, fam, exhaustive_limit=1)
-        assert res.method == "patterns-heuristic" and res.value == value
+    def test_refuses_past_the_composition_budget(self, monkeypatch):
+        # the one-vertex pattern has one composition, the edge K2 has seven
+        monkeypatch.setattr(symmetrization, "COMPOSITION_BUDGET", 1)
+        with pytest.raises(BudgetError, match="7 compositions of n=8"):
+            ex_via_patterns(8, K3FAM)
 
     def test_witnesses_free_with_value(self):
         res = ex_via_patterns(7, K3FAM, 4)

@@ -3,6 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import cycle
+
 from extremal import constructions as cons, hgr
 from extremal.cli import main
 from extremal.errors import FormatError
@@ -10,6 +12,7 @@ from extremal.isomorphism import are_isomorphic
 from extremal.morphism import is_free, single_graph
 from extremal.workbench import (
     _DISPATCH,
+    _PARAMS,
     ExperimentConfig,
     canonical_json,
     parse_class,
@@ -314,3 +317,79 @@ class TestCli:
 
     def test_canonical_json_trailing_newline(self):
         assert canonical_json({"a": 1}).endswith("\n")
+
+
+# command -> (CLI arguments with the JSON option last, the same job as a
+# config's minimal params, every param the command receives with the defaults
+# filled in); "{g}" is the path of C5
+FRONT_DOOR = {
+    "check": (["check", "{g}", "--family", "k3", "--json"],
+              {"input": "{g}", "family": "k3"},
+              {"input": "{g}", "class": None, "family": "k3"}),
+    "ex": (["ex", "--n", "5", "--family", "k3", "--json"],
+           {"n": 5, "family": "k3"},
+           {"n": 5, "family": "k3", "method": "both", "pmax": None}),
+    "lagrangian": (["--seed", "3", "lagrangian", "{g}", "--json"],
+                   {"input": "{g}"},
+                   {"input": "{g}", "supports": False, "restarts": 64}),
+    "symmetrize": (["symmetrize", "{g}", "--family", "k3", "--trace"],
+                   {"input": "{g}", "family": "k3"},
+                   {"input": "{g}", "family": "k3", "mode": "class"}),
+    "scan": (["scan", "--family", "k3", "--class", "bipartite", "--n", "4..5", "--eps", "0.1",
+              "--json"],
+             {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5, "eps": 0.1},
+             {"family": "k3", "class": "bipartite", "kind": "degree", "n_lo": 4, "n_hi": 5,
+              "eps": 0.1, "delta": 0.0, "pi_ref": None}),
+    "extendable": (["extendable", "{g}", "--v", "0", "--class", "bipartite", "--zeta", "0.05",
+                    "--piref", "0.5", "--json"],
+                   {"input": "{g}", "vertex": 0, "class": "bipartite", "zeta": 0.05,
+                    "pi_ref": 0.5},
+                   {"input": "{g}", "vertex": 0, "class": "bipartite", "zeta": 0.05,
+                    "pi_ref": 0.5}),
+    "enum": (["enum", "--n", "4", "--r", "2", "--json"],
+             {"n": 4, "r": 2},
+             {"n": 4, "r": 2, "family": None}),
+}
+
+
+def _fill(obj, graph_path: str):
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_fill(x, graph_path) for x in obj)
+    if isinstance(obj, dict):
+        return {k: _fill(v, graph_path) for k, v in obj.items()}
+    return graph_path if obj == "{g}" else obj
+
+
+class TestFrontDoor:
+    """Every computing subcommand enters through ``run``, so it gets the
+    config's checks and defaults and writes the same bytes as a config."""
+
+    @pytest.fixture()
+    def graph_path(self, tmp_path):
+        p = tmp_path / "c5.hgr"
+        hgr.dump(cycle(5), p)
+        return str(p)
+
+    def test_table_covers_every_command(self):
+        assert set(FRONT_DOOR) == set(_DISPATCH) == set(_PARAMS)
+
+    @pytest.mark.parametrize("command", sorted(FRONT_DOOR))
+    def test_cli_dispatches_through_run(self, monkeypatch, runner, tmp_path, graph_path,
+                                        command):
+        args, _, full = _fill(FRONT_DOOR[command], graph_path)
+        real = _DISPATCH[command]
+        calls = []
+        monkeypatch.setitem(_DISPATCH, command,
+                            lambda p, seed: calls.append((p, seed)) or real(p, seed))
+        res = runner.invoke(main, args + [str(tmp_path / "out.json")])
+        assert res.exit_code == 0, res.output
+        assert calls == [(full, 3 if command == "lagrangian" else 0)]
+
+    @pytest.mark.parametrize("command", sorted(FRONT_DOOR))
+    def test_cli_json_equals_run_json(self, runner, tmp_path, graph_path, command):
+        args, minimal, _ = _fill(FRONT_DOOR[command], graph_path)
+        res = runner.invoke(main, args + [str(tmp_path / "cli.json")])
+        assert res.exit_code == 0, res.output
+        seed = 3 if command == "lagrangian" else 0
+        run(ExperimentConfig(command, minimal, seed, {"json": "run.json"}), tmp_path)
+        assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "run.json").read_bytes()

@@ -10,8 +10,9 @@
 # The list covers every subcommand: the criterion-12 set of
 # tests/test_acceptance.py plus larger enumerations (3-graphs included),
 # Turan numbers by both routes and by each alone, degree scans (some where
-# the enumeration gates prune), vertex- and edge-deletion scans, both symmetrization modes and the three Lagrangian
-# routes.
+# the enumeration gates prune), vertex- and edge-deletion scans, both
+# symmetrization modes and the three Lagrangian routes; and calls that must
+# fail, with their stderr and exit code kept too.
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUTDIR" >&2
@@ -28,8 +29,20 @@ run() {  # run NAME ARG...: one CLI call, its stdout kept as NAME.out
   python -m extremal.cli "$@" > "$name.out"
 }
 
+fail() {  # fail NAME ARG...: one CLI call that must fail, kept as NAME.out, .err, .code
+  local name=$1 code=0
+  shift
+  python -m extremal.cli "$@" > "$name.out" 2> "$name.err" || code=$?
+  echo "$code" > "$name.code"
+  if [ "$code" -eq 0 ]; then
+    echo "$name: expected a nonzero exit code" >&2
+    exit 1
+  fi
+}
+
 printf '2 5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n' > c5.hgr
 printf '2 14 0\n' > empty14.hgr
+printf '2 3 2\n0 1\n0 1\n' > dup.hgr
 # a K4-free graph on 12 vertices that is not symmetrized
 cat > k4free12.hgr <<'HGR'
 2 12 35
@@ -129,3 +142,13 @@ run lag-turanr --seed 3 lagrangian t.hgr --format json --json lag-turanr.json
 run make-big3 make turanr 13 3 3 -o big3.hgr
 run lag-big3 --seed 5 lagrangian big3.hgr --restarts 16 --json lag-big3.json
 run lag-empty lagrangian empty14.hgr --restarts 4 --json lag-empty.json
+
+# refusals: budget (3), usage (2) and a counterexample under --expect-clean (4)
+fail enum-budget enum --n 9 --r 3
+fail scan-empty-range scan --family k3 --class bipartite --n 9..5 --eps 0.1 --expect-clean
+fail scan-k4-dirty scan --family k4 --class bipartite --kind degree --n 5..5 --eps 0.5 \
+  --piref 0.6666666666666666 --expect-clean --json scan-k4-dirty.json
+fail make-bad-tag make mystery 1 -o mystery.hgr
+fail lag-dup lagrangian dup.hgr
+fail ex-bad-family ex --n 5 --family mystery
+fail scan-no-preset scan --family file:c5.hgr --class bipartite --n 4..5 --eps 0.1
