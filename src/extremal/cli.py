@@ -149,17 +149,17 @@ def symmetrize(path: str, family: str, mode: str, trace_path: Optional[str],
 @click.option("--kind", type=click.Choice(["degree", "vertex", "edge"]), default="degree",
               show_default=True)
 @click.option("--n", "n_range", required=True, help="Vertex range A..B (e.g. 5..7).")
-@click.option("--eps", type=float, required=True)
-@click.option("--delta", type=float, default=0.0, show_default=True)
-@click.option("--piref", type=float, default=None,
+@click.option("--eps", required=True, help="A decimal or a fraction, e.g. 0.1 or 13/441.")
+@click.option("--delta", default="0", show_default=True)
+@click.option("--piref", default=None,
               help="Reference density; defaults to the family preset when known.")
 @click.option("--expect-clean", is_flag=True,
               help="Exit with status 4 if any counterexample is found.")
 @click.option("--json", "json_path", default=None)
 @click.option("--csv", "csv_path", default=None, help="Write the counterexample table as CSV.")
 @_guarded
-def scan(family: str, target: str, kind: str, n_range: str, eps: float, delta: float,
-         piref: Optional[float], expect_clean: bool, json_path: Optional[str],
+def scan(family: str, target: str, kind: str, n_range: str, eps: str, delta: str,
+         piref: Optional[str], expect_clean: bool, json_path: Optional[str],
          csv_path: Optional[str]) -> None:
     """Exhaustive stability scan over all family-free graphs in a vertex range."""
     try:
@@ -185,11 +185,11 @@ def scan(family: str, target: str, kind: str, n_range: str, eps: float, delta: f
 @click.argument("path")
 @click.option("--v", "vertex", type=int, required=True)
 @click.option("--class", "target", required=True)
-@click.option("--zeta", type=float, required=True)
-@click.option("--piref", type=float, required=True)
+@click.option("--zeta", required=True)
+@click.option("--piref", required=True)
 @click.option("--json", "json_path", default=None)
 @_guarded
-def extendable(path: str, vertex: int, target: str, zeta: float, piref: float,
+def extendable(path: str, vertex: int, target: str, zeta: str, piref: str,
                json_path: Optional[str]) -> None:
     """Vertex-extendability verdict for one graph and one vertex."""
     params = {"input": path, "vertex": vertex, "class": target, "zeta": zeta, "pi_ref": piref}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .morphism import uncovered_pairs
-from .rgraph import RGraph
+from .rgraph import RGraph, blowup
 
 
 def balanced_sizes(n: int, parts: int) -> tuple[int, ...]:
@@ -20,37 +20,19 @@ def balanced_sizes(n: int, parts: int) -> tuple[int, ...]:
     return tuple(q + 1 if i < rem else q for i in range(parts))
 
 
-def _part_ranges(n: int, parts: int) -> list[range]:
-    sizes = balanced_sizes(n, parts)
-    out = []
-    start = 0
-    for s in sizes:
-        out.append(range(start, start + s))
-        start += s
-    return out
-
-
 def turan_graph(n: int, parts: int) -> RGraph:
-    """Balanced complete multipartite graph."""
-    if n < 0 or parts < 1:
-        raise ValueError("need n >= 0 and parts >= 1")
-    ranges = _part_ranges(n, parts)
-    edges = []
-    for i in range(parts):
-        for j in range(i + 1, parts):
-            edges.extend(itertools.product(ranges[i], ranges[j]))
-    return RGraph(2, n, tuple(edges))
+    """Balanced complete multipartite graph (edgeless for one part)."""
+    if parts == 1 and n >= 0:
+        return RGraph(2, n, ())
+    return turan_rgraph(n, parts, 2)
 
 
 def turan_rgraph(n: int, parts: int, r: int) -> RGraph:
-    """Balanced complete multipartite r-graph: edges take at most one vertex per part."""
+    """Balanced complete multipartite r-graph: edges take at most one vertex
+    per part, so it is the balanced blowup of the complete r-graph on the parts."""
     if parts < r:
         raise ValueError(f"need parts >= r, got parts={parts}, r={r}")
-    ranges = _part_ranges(n, parts)
-    edges = []
-    for combo in itertools.combinations(range(parts), r):
-        edges.extend(itertools.product(*(ranges[i] for i in combo)))
-    return RGraph(r, n, tuple(edges))
+    return blowup(complete_rgraph(parts, r), balanced_sizes(n, parts))[0]
 
 
 def complete_rgraph(vertices: int, r: int) -> RGraph:

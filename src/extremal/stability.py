@@ -6,6 +6,10 @@ edge-count analogue).  Degree thresholds sit exactly on classical tight
 examples (balanced 5-cycle blowups for triangles), and the operative finite
 statements hold with the strict form only.
 
+Thresholds are computed in the arithmetic of their inputs.  ``workbench.run``
+passes ``Fraction``s, so at sharp values (eps* = 1/24 for K4, 13/441 for
+Sigma3) the threshold is the exact integer that float inputs can miss.
+
 ``pi_ref`` is always caller-supplied: the limiting density is out of scope and
 presets keep experiments honest.  A finite scan can refute but never confirm a
 stability statement; verdicts carry the scanned range and nothing more.
@@ -254,7 +258,8 @@ def _strict_threshold(
     """``(pi_ref/k! - eps) * n^k``, the bound that a minimum degree (k = r-1)
     or an edge count (k = r) must strictly exceed.  Computed in the
     arithmetic of ``pi_ref`` and ``eps``, so ``Fraction`` inputs give an
-    exact threshold and a graph sitting exactly on it never qualifies."""
+    exact threshold and a graph sitting exactly on it never qualifies.  Float
+    inputs can land just below an integer threshold and qualify a graph on it."""
     return (pi_ref / factorial(k) - eps) * n**k
 
 
@@ -475,7 +480,7 @@ class CounterexampleRecord:
     min_degree: int
     edge_count: int
     distance: Optional[int] = None
-    bound: Optional[float] = None
+    bound: Optional[float | Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -485,7 +490,7 @@ class StabilityVerdict:
     kind: str  # "degree" | "vertex" | "edge"
     n_range: tuple[int, int]
     eps: float | Fraction
-    delta: float
+    delta: float | Fraction
     pi_ref: float | Fraction
     scanned: int
     counterexamples: tuple[CounterexampleRecord, ...]
@@ -505,7 +510,7 @@ class StabilityVerdict:
         )
         return (
             f"{self.kind}-stability scan for {self.family.label} vs {self.target.label}, "
-            f"n in [{lo},{hi}], eps={self.eps}, delta={self.delta}: "
+            f"n in [{lo},{hi}], eps={float(self.eps)}, delta={float(self.delta)}: "
             f"{self.scanned} graphs above threshold, {verdict}"
         )
 
@@ -516,7 +521,7 @@ def scan_stability(
     kind: str,
     n_range: tuple[int, int],
     eps: float | Fraction,
-    delta: float,
+    delta: float | Fraction,
     pi_ref: float | Fraction,
 ) -> StabilityVerdict:
     """Exhaustively test a stability statement on all family-free graphs whose

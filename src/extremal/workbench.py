@@ -1,11 +1,13 @@
 """Experiment configs, result records, and the command implementations.
 
 ``run`` is the one way into the ``op_*`` functions: it checks a config's
-params against ``_PARAMS``, fills in the defaults and dispatches.  Every
-computing CLI subcommand builds such a config, so a config plus a seed fully
-determines the outputs.  Output JSON is canonical (sorted keys, two-space
-indent, trailing newline) and CSV floats carry 12 significant digits; wall
-time lives only on the result record, never in output files.
+params against ``_PARAMS``, fills in the defaults, reads every number param
+as an exact ``Fraction`` and dispatches.  Every computing CLI subcommand
+builds such a config, so a config plus a seed fully determines the outputs,
+and a threshold is exact from either.  Payloads print those numbers as
+floats.  Output JSON is canonical (sorted keys, two-space indent, trailing
+newline) and CSV floats carry 12 significant digits; wall time lives only on
+the result record, never in output files.
 """
 
 from __future__ import annotations
@@ -213,13 +215,9 @@ def op_symmetrize(p: dict, seed: int) -> dict:
 def op_scan(p: dict, seed: int) -> dict:
     fam = parse_family(p["family"])
     spec = parse_class(p["class"])
-    if p["pi_ref"] is None:
-        preset = preset_pi(fam)
-        if preset is None:
-            raise FormatError("no density preset for this family; pass --piref explicitly")
-        pi_val = float(preset)
-    else:
-        pi_val = float(p["pi_ref"])
+    pi_val = preset_pi(fam) if p["pi_ref"] is None else p["pi_ref"]
+    if pi_val is None:
+        raise FormatError("no density preset for this family; pass --piref explicitly")
     n_range = (p["n_lo"], p["n_hi"])
     verdict = scan_stability(fam, spec, p["kind"], n_range, p["eps"], p["delta"], pi_val)
     return {
@@ -228,9 +226,9 @@ def op_scan(p: dict, seed: int) -> dict:
         "class": p["class"],
         "kind": p["kind"],
         "n_range": list(n_range),
-        "eps": p["eps"],
-        "delta": p["delta"],
-        "pi_ref": pi_val,
+        "eps": float(p["eps"]),
+        "delta": float(p["delta"]),
+        "pi_ref": float(pi_val),
         "scanned": verdict.scanned,
         "max_distance": verdict.max_distance,
         "heuristic": verdict.heuristic,
@@ -242,7 +240,7 @@ def op_scan(p: dict, seed: int) -> dict:
                 "min_degree": c.min_degree,
                 "edges": c.edge_count,
                 "distance": c.distance,
-                "bound": c.bound,
+                "bound": None if c.bound is None else float(c.bound),
             }
             for c in verdict.counterexamples
         ],
@@ -273,13 +271,13 @@ def op_extendable(p: dict, seed: int) -> dict:
         "input": p["input"],
         "vertex": p["vertex"],
         "class": p["class"],
-        "zeta": p["zeta"],
-        "pi_ref": p["pi_ref"],
+        "zeta": float(p["zeta"]),
+        "pi_ref": float(p["pi_ref"]),
         "status": verdict.status,
         "degree_ok": verdict.degree_ok,
         "base_in_hull": verdict.base_in_hull,
         "self_in_hull": verdict.self_in_hull,
-        "threshold": verdict.threshold,
+        "threshold": float(verdict.threshold),
     }
 
 
@@ -352,9 +350,9 @@ class ResultRecord:
 
 
 # JSON types of params.  A bool is not an int or a number, though Python
-# makes it both; widen "number" here to accept more spellings of one.
+# makes it both.  A number may also be spelled as a string, such as "13/441".
 _JSON_TYPES: dict[str, tuple[type, ...]] = {
-    "int": (int,), "str": (str,), "bool": (bool,), "number": (int, float),
+    "int": (int,), "str": (str,), "bool": (bool,), "number": (int, float, str),
 }
 
 # command -> (required params with their JSON types, optional params with
@@ -364,7 +362,7 @@ _PARAMS: dict[str, tuple[dict[str, str], dict[str, tuple[str, Any]]]] = {
     "lagrangian": ({"input": "str"}, {"supports": ("bool", False), "restarts": ("int", 64)}),
     "symmetrize": ({"input": "str", "family": "str"}, {"mode": ("str", "class")}),
     "scan": ({"family": "str", "class": "str", "n_lo": "int", "n_hi": "int", "eps": "number"},
-             {"kind": ("str", "degree"), "delta": ("number", 0.0), "pi_ref": ("number", None)}),
+             {"kind": ("str", "degree"), "delta": ("number", 0), "pi_ref": ("number", None)}),
     "check": ({"input": "str"}, {"class": ("str", None), "family": ("str", None)}),
     "extendable": ({"input": "str", "vertex": "int", "class": "str", "zeta": "number",
                     "pi_ref": "number"}, {}),
@@ -377,13 +375,24 @@ _DISPATCH: dict[str, Callable[[dict, int], dict]] = {
 }
 
 
+def _exact(command: str, name: str, value: int | float | str) -> Fraction:
+    """A number param as an exact rational.  A float reads as the decimal it
+    prints as, so 0.1 is 1/10 and not the binary value nearest it; nan, inf
+    and strings that name no rational raise ``FormatError``."""
+    try:
+        return Fraction(repr(value) if isinstance(value, float) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError(f"{command} param {name!r} must be number, got {value!r}") from exc
+
+
 def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
     """Execute a config and persist any requested outputs.
 
     ``outputs`` maps logical names to paths.  The one name is ``json``, which
     stores the canonical payload; any other name raises ``FormatError``, as
     does a missing or unknown name in ``params`` or a value of the wrong JSON
-    type, before the command runs.
+    type, before the command runs.  Number params reach the command as
+    ``Fraction``s (see ``_exact``).
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")
@@ -397,6 +406,7 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
     unknown = sorted(config.params.keys() - required.keys() - optional.keys())
     if unknown:
         raise FormatError(f"unknown {config.command} params: {unknown}")
+    kinds = {**required, **{name: kind for name, (kind, _) in optional.items()}}
     for name, value in sorted(config.params.items()):
         # a required param has no default, so None never passes it
         kind, default = optional[name] if name in optional else (required[name], ...)
@@ -404,9 +414,12 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
             continue
         if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
             raise FormatError(f"{config.command} param {name!r} must be {kind}, got {value!r}")
-    defaults = {name: default for name, (_, default) in optional.items()}
+    params = {**{name: default for name, (_, default) in optional.items()}, **config.params}
+    for name, value in params.items():
+        if kinds[name] == "number" and value is not None:
+            params[name] = _exact(config.command, name, value)
     started = time.monotonic()
-    payload = _DISPATCH[config.command]({**defaults, **config.params}, config.seed)
+    payload = _DISPATCH[config.command](params, config.seed)
     elapsed = time.monotonic() - started
     written = {}
     if "json" in config.outputs:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,7 @@ from extremal.cli import main
 from extremal.errors import FormatError
 from extremal.isomorphism import are_isomorphic
 from extremal.morphism import is_free, single_graph
+from extremal.stability import COUNTEREXAMPLE, VACUOUS, check_vertex_extendable
 from extremal.workbench import (
     _DISPATCH,
     _PARAMS,
@@ -88,6 +90,19 @@ class TestConfig:
         assert cfg.digest() == ExperimentConfig.from_json(cfg.to_json()).digest()
 
 
+# every number param of every command, with the other params of a valid config
+NUMBER_PARAMS = sorted(
+    (command, name)
+    for command, (required, optional) in _PARAMS.items()
+    for name, kind in {**required, **{k: kind for k, (kind, _) in optional.items()}}.items()
+    if kind == "number"
+)
+NUMBER_BASE = {
+    "scan": {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5, "eps": 0},
+    "extendable": {"input": "g.hgr", "vertex": 0, "class": "bipartite", "zeta": 0, "pi_ref": 0},
+}
+
+
 class TestRun:
     def test_run_ex_and_reproduce(self, tmp_path):
         cfg = ExperimentConfig(
@@ -134,8 +149,9 @@ class TestRun:
             ("enum", {"n": 4, "r": 2, "family": 5}, False),
             ("ex", {"n": 5, "family": "k3", "pmax": 2.0}, False),
             ("lagrangian", {"input": "k3.hgr", "supports": 1}, False),
+            # a number may be spelled as a string, but it must name a rational
             ("scan", {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5,
-                      "eps": "0.1"}, False),
+                      "eps": "0.1"}, True),
             ("scan", {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5,
                       "eps": False}, False),
             # None passes only where it is the default
@@ -146,6 +162,15 @@ class TestRun:
                       "delta": 0.5, "pi_ref": None}, True),
             ("check", {"input": "g.hgr", "class": None, "family": "k3"}, True),
             ("ex", {"n": 5, "family": "k3", "pmax": None}, True),
+            # strings and floats that name no rational
+            ("scan", {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5,
+                      "eps": "abc"}, False),
+            ("scan", {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5,
+                      "eps": 0.1, "delta": "1/0"}, False),
+            ("scan", {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5,
+                      "eps": float("nan")}, False),
+            ("extendable", {"input": "g.hgr", "vertex": 0, "class": "bipartite",
+                            "zeta": 0.1, "pi_ref": float("inf")}, False),
         ],
     )
     def test_mistyped_params_refused_before_the_command_runs(self, monkeypatch, command, params,
@@ -158,6 +183,32 @@ class TestRun:
             with pytest.raises(FormatError, match="must be"):
                 run(ExperimentConfig(command, params))
         assert len(calls) == ok
+
+    @pytest.mark.parametrize("command, name", NUMBER_PARAMS)
+    @pytest.mark.parametrize("value, exact", [
+        (0.1, Fraction(1, 10)), ("0.1", Fraction(1, 10)), ("1/10", Fraction(1, 10)),
+        (2 / 3, Fraction("0.6666666666666666")),  # the decimal the float prints as
+    ])
+    def test_number_params_reach_the_command_as_fractions(self, monkeypatch, command, name,
+                                                          value, exact):
+        calls = []
+        monkeypatch.setitem(_DISPATCH, command, lambda p, seed: calls.append(p) or {})
+        run(ExperimentConfig(command, {**NUMBER_BASE[command], name: value}))
+        assert calls[0][name] == exact
+        for number in (n for c, n in NUMBER_PARAMS if c == command):
+            assert calls[0][number] is None or type(calls[0][number]) is Fraction
+
+    def test_a_float_param_reads_as_its_decimal(self, tmp_path):
+        # zeta = 1/10 puts C5's strict threshold (1/2 - 1/10) * 5 = 2 exactly on
+        # its minimum degree; the binary value of the float 0.1 lies above 1/10
+        p = tmp_path / "c5.hgr"
+        hgr.dump(cycle(5), p)
+        params = {"input": str(p), "vertex": 0, "class": "bipartite", "zeta": 0.1,
+                  "pi_ref": 0.5}
+        assert run(ExperimentConfig("extendable", params)).outputs["payload"]["status"] == VACUOUS
+        binary = check_vertex_extendable(cycle(5), 0, parse_class("bipartite"), Fraction(0.1),
+                                         Fraction(1, 2))
+        assert binary.status == COUNTEREXAMPLE
 
     def test_run_ex_unknown_method(self):
         with pytest.raises(ValueError, match="brute\\|patterns\\|both"):
@@ -217,6 +268,18 @@ class TestCli:
              "--expect-clean"],
         )
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("eps", ["13/441", "0.02947845804988662"])
+    def test_sigma3_scan_clean_at_the_sharp_eps(self, runner, eps):
+        # at eps* = 13/441 the strict threshold at n = 7 is (2/9 - 13/441) * 49 = 4;
+        # the decimal of the float nearest 13/441 is a little smaller
+        res = runner.invoke(
+            main,
+            ["scan", "--family", "sigma:3", "--class", "krl:3:3", "--n", "7..7", "--eps", eps,
+             "--piref", "2/9", "--expect-clean"],
+        )
+        assert res.exit_code == 0, res.output
+        assert "0 graphs above threshold" in res.output
 
     def test_scan_empty_range_exit_2(self, runner):
         # 9..5 holds no n: refused, not reported clean
@@ -339,13 +402,13 @@ FRONT_DOOR = {
               "--json"],
              {"family": "k3", "class": "bipartite", "n_lo": 4, "n_hi": 5, "eps": 0.1},
              {"family": "k3", "class": "bipartite", "kind": "degree", "n_lo": 4, "n_hi": 5,
-              "eps": 0.1, "delta": 0.0, "pi_ref": None}),
+              "eps": Fraction(1, 10), "delta": Fraction(0), "pi_ref": None}),
     "extendable": (["extendable", "{g}", "--v", "0", "--class", "bipartite", "--zeta", "0.05",
                     "--piref", "0.5", "--json"],
                    {"input": "{g}", "vertex": 0, "class": "bipartite", "zeta": 0.05,
                     "pi_ref": 0.5},
-                   {"input": "{g}", "vertex": 0, "class": "bipartite", "zeta": 0.05,
-                    "pi_ref": 0.5}),
+                   {"input": "{g}", "vertex": 0, "class": "bipartite",
+                    "zeta": Fraction(1, 20), "pi_ref": Fraction(1, 2)}),
     "enum": (["enum", "--n", "4", "--r", "2", "--json"],
              {"n": 4, "r": 2},
              {"n": 4, "r": 2, "family": None}),

@@ -11,8 +11,9 @@
 # tests/test_acceptance.py plus larger enumerations (3-graphs included),
 # Turan numbers by both routes and by each alone, degree scans (some where
 # the enumeration gates prune), vertex- and edge-deletion scans, both
-# symmetrization modes and the three Lagrangian routes; and calls that must
-# fail, with their stderr and exit code kept too.
+# symmetrization modes, the three Lagrangian routes, the semibipartite and
+# two-covered hull classes, and scans at a sharp threshold; and calls that
+# must fail, with their stderr and exit code kept too.
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUTDIR" >&2
@@ -143,6 +144,36 @@ run make-big3 make turanr 13 3 3 -o big3.hgr
 run lag-big3 --seed 5 lagrangian big3.hgr --restarts 16 --json lag-big3.json
 run lag-empty lagrangian empty14.hgr --restarts 4 --json lag-empty.json
 
+# the other hull classes of the paper: semibipartite (Hefetz-Keevash), with
+# weak expansions of a matching, and two-covered systems (Bene Watts-Norin-
+# Yepremyan), with cancellative 3-graphs and Sigma3
+run make-sb make semibip 2 4 3 -o sb.hgr
+run make-m32 make matching 3 2 -o m32.hgr
+run make-k43 make complete 4 3 -o k43.hgr
+run check-sb check sb.hgr --family weakexp:m32.hgr --class semibip:3 --json check-sb.json
+run check-t check t.hgr --family cancellative:3 --class twocov:3 --json check-t.json
+run check-k43 check k43.hgr --family sigma:3 --class twocov:3 --json check-k43.json
+for kind in vertex edge; do
+  run "scan-sigma3-twocov-$kind" scan --family sigma:3 --class twocov:3 --kind "$kind" \
+    --n 5..6 --eps 0.1 --delta 0.1 --json "scan-sigma3-twocov-$kind.json"
+  run "scan-canc3-semibip-$kind" scan --family cancellative:3 --class semibip:3 \
+    --kind "$kind" --n 5..6 --eps 0.1 --delta 0.1 --json "scan-canc3-semibip-$kind.json"
+done
+# 4/9 is the degree density of complete semibipartite 3-graphs
+run scan-weakexp scan --family weakexp:m32.hgr --class semibip:3 --n 5..5 --eps 0.1 \
+  --piref 0.4444444444444444 --json scan-weakexp.json
+run enum-weakexp enum --n 5 --r 3 --family weakexp:m32.hgr --json enum-weakexp.json
+
+# thresholds are exact: at the sharp Sigma3 value eps* = 13/441 the n = 7
+# threshold is the integer 4, which no graph sitting on it exceeds, whether
+# eps is spelled as a fraction or as the decimal of the float nearest it
+run scan-sigma3-sharp scan --family sigma:3 --class krl:3:3 --n 7..7 --eps 13/441 \
+  --piref 2/9 --expect-clean --json scan-sigma3-sharp.json
+run scan-sigma3-sharp-decimal scan --family sigma:3 --class krl:3:3 --n 7..7 \
+  --eps 0.02947845804988662 --piref 2/9 --expect-clean --json scan-sigma3-sharp-decimal.json
+run extendable-t extendable t.hgr --v 0 --class krl:3:3 --zeta 1/20 --piref 2/9 \
+  --json extendable-t.json
+
 # refusals: budget (3), usage (2) and a counterexample under --expect-clean (4)
 fail enum-budget enum --n 9 --r 3
 fail scan-empty-range scan --family k3 --class bipartite --n 9..5 --eps 0.1 --expect-clean
@@ -152,3 +183,5 @@ fail make-bad-tag make mystery 1 -o mystery.hgr
 fail lag-dup lagrangian dup.hgr
 fail ex-bad-family ex --n 5 --family mystery
 fail scan-no-preset scan --family file:c5.hgr --class bipartite --n 4..5 --eps 0.1
+fail scan-bad-eps scan --family k3 --class bipartite --n 4..5 --eps abc
+fail extendable-bad-zeta extendable c5.hgr --v 0 --class bipartite --zeta 1/0 --piref 0.5
