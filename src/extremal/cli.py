@@ -85,8 +85,8 @@ def check(path: str, target: Optional[str], family: Optional[str], json_path: Op
 @main.command()
 @click.option("--n", type=int, required=True)
 @click.option("--family", required=True)
-@click.option("--method", type=click.Choice(["brute", "patterns", "both"]), default="both",
-              show_default=True)
+@click.option("--method", type=click.Choice(["brute", "patterns", "both"]),
+              default=workbench.default("ex", "method"), show_default=True)
 @click.option("--pmax", type=int, default=None, help="Pattern size cap for the pattern route.")
 @click.option("--json", "json_path", default=None)
 @click.option("--witness-dir", default=None, help="Directory for extremal witness .hgr files.")
@@ -107,7 +107,8 @@ def ex(n: int, family: str, method: str, pmax: Optional[int], json_path: Optiona
 @main.command()
 @click.argument("path")
 @click.option("--supports", is_flag=True, help="Force full support enumeration.")
-@click.option("--restarts", type=int, default=64, show_default=True)
+@click.option("--restarts", type=int, default=workbench.default("lagrangian", "restarts"),
+              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
 @click.option("--json", "json_path", default=None)
@@ -129,7 +130,8 @@ def lagrangian(path: str, supports: bool, restarts: int, fmt: str,
 @main.command()
 @click.argument("path")
 @click.option("--family", required=True)
-@click.option("--mode", type=click.Choice(["class", "vertex"]), default="class", show_default=True)
+@click.option("--mode", type=click.Choice(["class", "vertex"]),
+              default=workbench.default("symmetrize", "mode"), show_default=True)
 @click.option("--trace", "trace_path", default=None, help="Write the step trace as JSON.")
 @click.option("-o", "--output", default=None, help="Write the final graph as .hgr.")
 @_guarded
@@ -146,11 +148,11 @@ def symmetrize(path: str, family: str, mode: str, trace_path: Optional[str],
 @main.command()
 @click.option("--family", required=True)
 @click.option("--class", "target", required=True)
-@click.option("--kind", type=click.Choice(["degree", "vertex", "edge"]), default="degree",
-              show_default=True)
+@click.option("--kind", type=click.Choice(["degree", "vertex", "edge"]),
+              default=workbench.default("scan", "kind"), show_default=True)
 @click.option("--n", "n_range", required=True, help="Vertex range A..B (e.g. 5..7).")
 @click.option("--eps", required=True, help="A decimal or a fraction, e.g. 0.1 or 13/441.")
-@click.option("--delta", default="0", show_default=True)
+@click.option("--delta", default=workbench.default("scan", "delta"), show_default=True)
 @click.option("--piref", default=None,
               help="Reference density; defaults to the family preset when known.")
 @click.option("--expect-clean", is_flag=True,

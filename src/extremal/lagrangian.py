@@ -7,12 +7,12 @@ inside ``maximize``.  Exact arithmetic is used automatically when the input
 weights are Fractions or ints, which is how the blowup identity is checked
 without tolerances.
 
-The maximizer is honest about its limits: for at most ``support_limit``
-vertices it enumerates the supports in which every pair of vertices lies in an
-edge inside the support (Frankl–Rödl) and runs a projected-gradient ascent on
-each (certificate gap 0 when every inner problem converged), beyond that it
-falls back to seeded multistart ascent and reports the complete-graph value as
-the remaining gap.
+The maximizer is honest about its limits: for at most ``SUPPORT_LIMIT``
+vertices (or any number, when asked for ``all_supports``) it enumerates the
+supports in which every pair of vertices lies in an edge inside the support
+(Frankl–Rödl) and runs a projected-gradient ascent on each (certificate gap 0
+when every inner problem converged), beyond that it falls back to seeded
+multistart ascent and reports the complete-graph value as the remaining gap.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .rgraph import RGraph, mask_to_tuple
 SIMPLEX_TOL = 1e-12
 ASCENT_TOL = 1e-10  # the ascent stops once its projected gradient is this short
 ASCENT_MAX_ITER = 10_000
+SUPPORT_LIMIT = 12  # vertices; past it maximize runs multistart ascent instead
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,8 @@ def lambda_complete(m: int, r: int) -> Fraction:
     return Fraction(comb(m, r), m**r)
 
 
-def _check_on_simplex(x: Sequence, tol: float = 1e-9) -> None:
-    if not all(-tol <= w < inf for w in x) or abs(sum(x) - 1.0) > tol:
+def _check_on_simplex(x: Sequence) -> None:
+    if not all(-1e-9 <= w < inf for w in x) or abs(sum(x) - 1.0) > 1e-9:
         raise ValueError("point is not on the simplex")
 
 
@@ -231,7 +232,7 @@ def maximize(
     *,
     restarts: int = 64,
     seed: int = 0,
-    support_limit: int = 12,
+    all_supports: bool = False,
 ) -> LagrangianResult:
     """Best simplex value found for the edge polynomial of ``g``.
 
@@ -246,6 +247,11 @@ def maximize(
     all of x_j onto i (or all of x_i onto j) loses no value.  The support
     shrinks, against minimality.  So some optimum has a pair-covered support,
     and the ascent on that support, started at its uniform point, looks for it.
+
+    Support enumeration runs when ``g`` has at most ``SUPPORT_LIMIT`` vertices
+    or ``all_supports`` is set; it passes over every vertex subset of ``g``.
+    Otherwise ``restarts`` seeded ascents start from random points, and the
+    gap is the distance from the best value to the complete-graph value.
     """
     m = g.n
     if m < 1:
@@ -262,7 +268,7 @@ def maximize(
         if uv > best_val:
             best_val, best_x = uv, unit
 
-    if m <= support_limit:
+    if all_supports or m <= SUPPORT_LIMIT:
         method = "support-enumeration"
         for support in range(1, 1 << m):
             inside = [(mk, vs) for mk, vs in edges if mk & ~support == 0]

@@ -41,6 +41,8 @@ GEN_TRIANGLE = "generalized-triangle"
 CANCELLATIVE = "cancellative"
 WEAK_EXPANSION = "weak-expansion"
 
+WEAK_EXPANSION_BUDGET = 200_000  # raw members family_members may list
+
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -369,7 +371,7 @@ def _triple_members(r: int, require_tight: bool) -> tuple[RGraph, ...]:
     return tuple(out[k] for k in sorted(out))
 
 
-def _weak_expansion_members(base: RGraph, budget: int = 200_000) -> tuple[RGraph, ...]:
+def _weak_expansion_members(base: RGraph) -> tuple[RGraph, ...]:
     pairs = uncovered_pairs(base)
     extra = base.r - 2
     total_n = base.n + extra * len(pairs)
@@ -378,9 +380,9 @@ def _weak_expansion_members(base: RGraph, budget: int = 200_000) -> tuple[RGraph
     count = 1
     for _ in pairs:
         count *= comb(total_n - 2, extra)
-        if count > budget:
+        if count > WEAK_EXPANSION_BUDGET:
             raise BudgetError(
-                f"weak-expansion family has more than {budget} raw members; "
+                f"weak-expansion family has more than {WEAK_EXPANSION_BUDGET} raw members; "
                 "use the detector instead"
             )
     out: dict[tuple, RGraph] = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import SoundnessError
 
@@ -290,17 +290,9 @@ def blowup(g: RGraph, sizes: Iterable[int]) -> tuple[RGraph, VertexPartition]:
     return RGraph(g.r, total, tuple(edges)), VertexPartition(g.n, tuple(assignment))
 
 
-def is_two_covered(h: RGraph, subset: Optional[Iterable[int]] = None) -> bool:
-    """True iff every pair inside ``subset`` (default: all vertices) shares an edge."""
-    verts = sorted(subset) if subset is not None else range(h.n)
-    verts = list(verts)
-    for idx, u in enumerate(verts):
-        if not 0 <= u < h.n:
-            raise ValueError(f"vertex {u} out of range")
-        for v in verts[idx + 1 :]:
-            if not pair_covered(h, u, v):
-                return False
-    return True
+def is_two_covered(h: RGraph) -> bool:
+    """True iff every pair of vertices shares an edge."""
+    return all(pair_covered(h, u, v) for u, v in itertools.combinations(range(h.n), 2))
 
 
 def is_design_system(h: RGraph, ell: int) -> bool:

@@ -47,6 +47,8 @@ COMPLETE_BLOWUPS = "complete-blowups"
 SEMIBIPARTITE = "semibipartite"
 TWO_COVERED = "two-covered-systems"
 
+EDGE_DISTANCE_BUDGET = 2_000_000  # search nodes; past it the edge distance is inexact
+
 
 @dataclass(frozen=True)
 class ClassSpec:
@@ -94,8 +96,6 @@ def _proper_coloring(adj: Sequence[int], n: int, k: int) -> Optional[list[int]]:
     """Proper <= k coloring of a graph given as adjacency bitmasks, or None.
     Backtracking on most-constrained-vertex order with new-color symmetry
     breaking; a color is tested against the bitmask of its class."""
-    if k < 0:
-        return None
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     color = [-1] * n
     members = [0] * min(k, n)  # at most n classes are ever opened
@@ -456,14 +456,14 @@ def vertex_deletion_distance(h: RGraph, spec: ClassSpec) -> int:
     return value
 
 
-def edge_deletion_distance(h: RGraph, spec: ClassSpec, node_budget: int = 2_000_000) -> tuple[int, bool]:
+def edge_deletion_distance(h: RGraph, spec: ClassSpec) -> tuple[int, bool]:
     """Least number of edge deletions landing in the hull, as ``(value,
     exact)``: a branch and bound over the class assignments of the complete
     blowup, each two-covered pattern or the semibipartition A/B, counting
-    violated edges, whose every node counts against ``node_budget`` (past it
-    the best value so far comes back inexact).  The violated edges are
+    violated edges, whose every node counts against ``EDGE_DISTANCE_BUDGET``
+    (past it the best value so far comes back inexact).  The violated edges are
     checked with ``in_hull``; a failure raises ``SoundnessError``."""
-    value, exact, violated = _least_deletions(h, spec, False, node_budget)
+    value, exact, violated = _least_deletions(h, spec, False, EDGE_DISTANCE_BUDGET)
     if not in_hull(RGraph(h.r, h.n, tuple(set(h.edges) - set(violated))), spec):
         raise SoundnessError(f"deleting edges {violated} from {h!r} leaves it outside {spec.label}")
     return value, exact

@@ -109,8 +109,7 @@ def parse_class(text: str) -> ClassSpec:
         if parts[0] == "semibip" and len(parts) == 2:
             return semibipartite_class(int(parts[1]))
         if parts[0] == "twocov" and len(parts) in (2, 3):
-            pmax = int(parts[2]) if len(parts) == 3 else 6
-            return two_covered_systems(int(parts[1]), pmax)
+            return two_covered_systems(*(int(x) for x in parts[1:]))
     except ValueError as exc:
         raise FormatError(f"bad class spec {text!r}") from exc
     raise FormatError(f"unknown class spec {text!r}")
@@ -178,8 +177,7 @@ def op_ex(p: dict, seed: int) -> dict:
 
 def op_lagrangian(p: dict, seed: int) -> dict:
     g = hgr.load(p["input"])
-    limit = g.n if p["supports"] else 12
-    res = maximize(g, restarts=p["restarts"], seed=seed, support_limit=limit)
+    res = maximize(g, restarts=p["restarts"], seed=seed, all_supports=p["supports"])
     return {
         "command": "lagrangian",
         "input": p["input"],
@@ -368,6 +366,12 @@ _PARAMS: dict[str, tuple[dict[str, str], dict[str, tuple[str, Any]]]] = {
                     "pi_ref": "number"}, {}),
     "enum": ({"n": "int", "r": "int"}, {"family": ("str", None)}),
 }
+
+
+def default(command: str, name: str) -> str:
+    """The default of an optional param, as the text of a CLI option."""
+    return str(_PARAMS[command][1][name][1])
+
 
 _DISPATCH: dict[str, Callable[[dict, int], dict]] = {
     "ex": op_ex, "lagrangian": op_lagrangian, "symmetrize": op_symmetrize, "scan": op_scan,

@@ -9,7 +9,7 @@ from extremal.morphism import (
     find_generalized_triangle,
     find_weak_expansion,
 )
-from extremal.rgraph import RGraph, is_design_system, is_two_covered
+from extremal.rgraph import RGraph, is_design_system, pair_covered
 from extremal.stability import krl_coloring, semibipartition
 
 
@@ -77,7 +77,7 @@ class TestExpansion:
         base = cons.matching(3, 2)
         g = cons.expansion(base)
         assert set(base.edges) <= set(g.edges)
-        assert is_two_covered(g, range(base.n))
+        assert all(pair_covered(g, u, v) for u, v in itertools.combinations(range(base.n), 2))
 
     def test_graph_case_completes(self):
         base = RGraph(2, 4, ((0, 1),))

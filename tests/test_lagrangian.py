@@ -297,7 +297,7 @@ class TestMaximize:
         g, _ = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
             cons.complete_graph(3), [5, 5, 3]
         )
-        res = maximize(g, support_limit=8, seed=1)
+        res = maximize(g, seed=1)
         assert res.method == "multistart-ascent"
         assert res.value <= float(lambda_complete(13, 2))
         assert abs(res.value - 1 / 3) <= 1e-6  # blowup of K3 keeps its value

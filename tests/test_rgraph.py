@@ -220,10 +220,6 @@ class TestCoverageAndSystems:
     def test_two_covered_t3(self):
         assert not is_two_covered(T3)
 
-    def test_two_covered_small_subset(self):
-        assert is_two_covered(T3, [0])
-        assert is_two_covered(T3, [])
-
     def test_design_single_edge(self):
         assert is_design_system(cons.complete_rgraph(3, 3), 2)
 

@@ -358,7 +358,9 @@ class TestDistances:
             h = RGraph(3, 7, tuple(tuple(perm[v] for v in e) for e in fano.edges))
             assert edge_deletion_distance(h, two_covered_systems(3, 7)) == (0, True)
 
-    def test_node_budget_gives_an_inexact_upper_bound(self):
+    def test_node_budget_gives_an_inexact_upper_bound(self, monkeypatch):
+        import extremal.stability as stability
+
         cases = [
             (cycle(7), BIPARTITE),
             (cons.turan_plus(6, 3), complete_blowups(2, 3)),
@@ -373,7 +375,9 @@ class TestDistances:
             value, exact = edge_deletion_distance(g, spec)
             assert exact and value > 0
             for budget in (1, 2, 3):
-                bound, flag = edge_deletion_distance(g, spec, node_budget=budget)
+                with monkeypatch.context() as m:
+                    m.setattr(stability, "EDGE_DISTANCE_BUDGET", budget)
+                    bound, flag = edge_deletion_distance(g, spec)
                 assert not flag and bound >= value, (g.edges, spec.label, budget)
 
     def test_vertex_distance_outside_every_hull_raises(self, monkeypatch):

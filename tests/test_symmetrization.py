@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from extremal.rgraph import (
     equivalence_classes,
     is_design_system,
     is_symmetrized,
-    is_two_covered,
+    pair_covered,
 )
 from extremal.symmetrization import _step, ex, ex_bruteforce, ex_via_patterns, symmetrize
 
@@ -84,9 +85,8 @@ class TestSymmetrize:
             }
             q = RGraph(3, parts.class_count, tuple(quotient_edges))
             if q.edges:
-                assert is_two_covered(
-                    q, sorted({v for e in q.edges for v in e})
-                )
+                used = sorted({v for e in q.edges for v in e})
+                assert all(pair_covered(q, u, v) for u, v in itertools.combinations(used, 2))
                 assert is_design_system(q, 2)
 
     def test_not_free_input_rejected(self):

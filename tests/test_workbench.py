@@ -1,3 +1,4 @@
+import inspect
 import json
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from extremal import constructions as cons, hgr
 from extremal.cli import main
 from extremal.errors import FormatError
 from extremal.isomorphism import are_isomorphic
+from extremal.lagrangian import maximize
 from extremal.morphism import is_free, single_graph
 from extremal.stability import COUNTEREXAMPLE, VACUOUS, check_vertex_extendable
+from extremal.symmetrization import ex, symmetrize
 from extremal.workbench import (
     _DISPATCH,
     _PARAMS,
@@ -250,6 +253,21 @@ class TestCli:
         value = float(res.output.splitlines()[1].split(",")[0])
         assert abs(value - 1 / 3) <= 1e-9
 
+    def test_lagrangian_supports_past_the_limit(self, runner, tmp_path):
+        # 13 vertices: one more than SUPPORT_LIMIT, so only --supports enumerates
+        p = tmp_path / "big.hgr"
+        hgr.dump(cons.turan_graph(13, 3), p)
+        payloads = []
+        for flags in (["--supports"], []):
+            res = runner.invoke(main, ["lagrangian", str(p), "--format", "json"] + flags)
+            assert res.exit_code == 0, res.output
+            payloads.append(json.loads(res.output))
+        enumerated, multistart = payloads
+        assert enumerated["method"] == "support-enumeration"
+        assert enumerated["gap"] == 0 and enumerated["converged"]
+        assert abs(enumerated["value"] - 1 / 3) <= 1e-9
+        assert multistart["method"] == "multistart-ascent" and multistart["gap"] > 0
+
     def test_malformed_hgr_exit_2(self, runner, tmp_path):
         p = tmp_path / "bad.hgr"
         p.write_text("2 3 2\n0 1\n0 1\n")
@@ -435,6 +453,12 @@ class TestFrontDoor:
 
     def test_table_covers_every_command(self):
         assert set(FRONT_DOOR) == set(_DISPATCH) == set(_PARAMS)
+
+    def test_library_defaults_equal_the_params_defaults(self):
+        # a library call that leaves the option out computes what a config does
+        for fn, command, name in ((ex, "ex", "method"), (maximize, "lagrangian", "restarts"),
+                                  (symmetrize, "symmetrize", "mode")):
+            assert inspect.signature(fn).parameters[name].default == _PARAMS[command][1][name][1]
 
     @pytest.mark.parametrize("command", sorted(FRONT_DOOR))
     def test_cli_dispatches_through_run(self, monkeypatch, runner, tmp_path, graph_path,

@@ -12,8 +12,9 @@
 # Turan numbers by both routes and by each alone, degree scans (some where
 # the enumeration gates prune), vertex- and edge-deletion scans, both
 # symmetrization modes, the three Lagrangian routes, the semibipartite and
-# two-covered hull classes, and scans at a sharp threshold; and calls that
-# must fail, with their stderr and exit code kept too.
+# two-covered hull classes, and scans at a sharp threshold; the --help text of
+# the subcommands whose option defaults come from workbench._PARAMS; and calls
+# that must fail, with their stderr and exit code kept too.
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUTDIR" >&2
@@ -139,6 +140,14 @@ for mode in class vertex; do
     --trace "sym-$mode.json" -o "sym-$mode.hgr"
 done
 run lag-supports lagrangian k4free12.hgr --supports --json lag-supports.json
+# 13 vertices, past lagrangian.SUPPORT_LIMIT: only --supports enumerates supports
+run lag-big-supports lagrangian big.hgr --supports --json lag-big-supports.json
+python - lag-big-supports.json <<'PY'
+import json, sys
+p = json.load(open(sys.argv[1]))
+if not (p["method"] == "support-enumeration" and p["gap"] == 0 and p["converged"]):
+    sys.exit(f"lag-big-supports: expected an exact support enumeration, got {p}")
+PY
 run lag-turanr --seed 3 lagrangian t.hgr --format json --json lag-turanr.json
 run make-big3 make turanr 13 3 3 -o big3.hgr
 run lag-big3 --seed 5 lagrangian big3.hgr --restarts 16 --json lag-big3.json
@@ -173,6 +182,11 @@ run scan-sigma3-sharp-decimal scan --family sigma:3 --class krl:3:3 --n 7..7 \
   --eps 0.02947845804988662 --piref 2/9 --expect-clean --json scan-sigma3-sharp-decimal.json
 run extendable-t extendable t.hgr --v 0 --class krl:3:3 --zeta 1/20 --piref 2/9 \
   --json extendable-t.json
+
+# option defaults, shown in --help, come from workbench._PARAMS
+for cmd in ex lagrangian symmetrize scan; do
+  run "help-$cmd" "$cmd" --help
+done
 
 # refusals: budget (3), usage (2) and a counterexample under --expect-clean (4)
 fail enum-budget enum --n 9 --r 3
