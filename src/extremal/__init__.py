@@ -3,12 +3,10 @@
 __version__ = "0.1.0"
 
 from .rgraph import (  # noqa: F401
-    DegreeProfile,
     RGraph,
     VertexPartition,
     blowup,
     class_energy,
-    degree_profile,
     delete_vertices,
     equivalence_classes,
     induced,
@@ -16,6 +14,5 @@ from .rgraph import (  # noqa: F401
     is_symmetrized,
     is_two_covered,
     link,
-    neighborhood,
     shadow,
 )

@@ -6,7 +6,11 @@ The writer emits edges in lexicographic order with a trailing newline, so its
 output is byte-stable and ``loads(dumps(h)) == h`` exactly.
 
 A JSON mirror ``{"r": ..., "n": ..., "edges": [[...], ...]}`` is accepted on
-input; ``load`` sniffs the format from the first non-space character.
+input; ``load`` sniffs the format from the first non-space character.  Its
+integers are JSON integers (``is_json_int``), so ``true`` and ``false`` are
+refused.  Both readers check only their format's own syntax; the rules of an
+edge set (r distinct vertices in range, no duplicate edge) are ``RGraph``'s,
+and its ``ValueError`` reaches the caller as a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -50,17 +54,19 @@ def loads(text: str) -> RGraph:
             verts = tuple(int(tok) for tok in ln.split())
         except ValueError as exc:
             raise FormatError(f"non-integer vertex in line {ln!r}") from exc
-        if len(verts) != r:
-            raise FormatError(f"edge line {ln!r} has {len(verts)} vertices, expected {r}")
         if any(a >= b for a, b in zip(verts, verts[1:])):
             raise FormatError(f"edge line {ln!r} is not strictly ascending")
         edges.append(verts)
-    if len(set(edges)) != len(edges):
-        raise FormatError("duplicate edge in HGR document")
     try:
         return RGraph(r, n, tuple(edges))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def is_json_int(v: Any) -> bool:
+    """True iff ``v`` is a JSON integer as ``json`` reads one: an ``int`` but
+    not a ``bool``, which Python makes an ``int`` too."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def from_json_obj(obj: Any) -> RGraph:
@@ -70,16 +76,11 @@ def from_json_obj(obj: Any) -> RGraph:
     if missing:
         raise FormatError(f"JSON graph missing fields: {sorted(missing)}")
     r, n, edges = obj["r"], obj["n"], obj["edges"]
-    if not isinstance(r, int) or not isinstance(n, int) or not isinstance(edges, list):
+    if not is_json_int(r) or not is_json_int(n) or not isinstance(edges, list):
         raise FormatError("JSON graph fields have wrong types")
-    seen = set()
     for e in edges:
-        if not isinstance(e, list) or not all(isinstance(v, int) for v in e):
+        if not isinstance(e, list) or not all(is_json_int(v) for v in e):
             raise FormatError(f"JSON edge {e!r} must be a list of integers")
-        key = tuple(sorted(e))
-        if key in seen:
-            raise FormatError(f"duplicate edge {e!r}")
-        seen.add(key)
     try:
         return RGraph(r, n, tuple(tuple(e) for e in edges))
     except ValueError as exc:

@@ -8,8 +8,8 @@ weights are Fractions or ints, which is how the blowup identity is checked
 without tolerances.
 
 The maximizer is honest about its limits: for at most ``SUPPORT_LIMIT``
-vertices (or any number, when asked for ``all_supports``) it enumerates the
-supports in which every pair of vertices lies in an edge inside the support
+vertices (or ``SUPPORT_BUDGET``, when asked for ``all_supports``) it enumerates
+the supports in which every pair of vertices lies in an edge inside the support
 (Frankl–Rödl) and runs a projected-gradient ascent on each (certificate gap 0
 when every inner problem converged), beyond that it falls back to seeded
 multistart ascent and reports the complete-graph value as the remaining gap.
@@ -25,12 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import BudgetError
 from .rgraph import RGraph, mask_to_tuple
 
 SIMPLEX_TOL = 1e-12
 ASCENT_TOL = 1e-10  # the ascent stops once its projected gradient is this short
 ASCENT_MAX_ITER = 10_000
 SUPPORT_LIMIT = 12  # vertices; past it maximize runs multistart ascent instead
+SUPPORT_BUDGET = 14  # vertices; past it all_supports raises BudgetError
 
 
 @dataclass(frozen=True)
@@ -249,13 +251,20 @@ def maximize(
     and the ascent on that support, started at its uniform point, looks for it.
 
     Support enumeration runs when ``g`` has at most ``SUPPORT_LIMIT`` vertices
-    or ``all_supports`` is set; it passes over every vertex subset of ``g``.
-    Otherwise ``restarts`` seeded ascents start from random points, and the
-    gap is the distance from the best value to the complete-graph value.
+    or ``all_supports`` is set; it passes over every vertex subset of ``g``,
+    so ``all_supports`` past ``SUPPORT_BUDGET`` vertices raises
+    ``BudgetError``.  Otherwise ``restarts`` seeded ascents start from random
+    points, and the gap is the distance from the best value to the
+    complete-graph value.
     """
     m = g.n
     if m < 1:
         raise ValueError("maximize needs at least one vertex")
+    if all_supports and m > SUPPORT_BUDGET:
+        raise BudgetError(
+            f"support enumeration walks all 2^{m} vertex subsets; "
+            f"capped at n <= {SUPPORT_BUDGET}"
+        )
     edges = [(mk, mask_to_tuple(mk)) for mk in g.edge_masks]
 
     best_x = np.full(m, 1.0 / m)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import SoundnessError
-
 MAX_VERTICES = 64
 
 
@@ -190,12 +188,6 @@ class VertexPartition:
         return tuple(tuple(c) for c in out)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    degrees: tuple[int, ...]
-    min_degree: int
-
-
 def link(h: RGraph, v: int) -> RGraph:
     """The (r-1)-graph of sets completing ``v`` to an edge, on the same vertex set."""
     if not 0 <= v < h.n:
@@ -214,13 +206,6 @@ def shadow(h: RGraph, i: int) -> RGraph:
     for e in h.edges:
         out.update(itertools.combinations(e, h.r - i))
     return RGraph(h.r - i, h.n, tuple(out))
-
-
-def neighborhood(h: RGraph, v: int) -> frozenset[int]:
-    """Vertices sharing at least one edge with ``v``."""
-    if not 0 <= v < h.n:
-        raise ValueError(f"vertex {v} out of range 0..{h.n - 1}")
-    return frozenset(mask_to_tuple(h.covered_adj[v]))
 
 
 def pair_covered(h: RGraph, u: int, v: int) -> bool:
@@ -332,10 +317,3 @@ def induced(h: RGraph, keep: Iterable[int]) -> tuple[RGraph, dict[int, int]]:
     """The subgraph induced on ``keep``, relabeled to ``0..len(keep)-1``."""
     keep_set = set(keep)
     return delete_vertices(h, (v for v in range(h.n) if v not in keep_set))
-
-
-def degree_profile(h: RGraph) -> DegreeProfile:
-    degs = h.degrees
-    if sum(degs) != h.r * len(h.edges):  # handshake
-        raise SoundnessError(f"degree sum {sum(degs)} != r * edges = {h.r * len(h.edges)}")
-    return DegreeProfile(degs, min(degs) if degs else 0)

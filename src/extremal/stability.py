@@ -302,21 +302,7 @@ def check_vertex_extendable(
     return ExtendVerdict(status, degree_ok, base_ok, self_ok, thr)
 
 
-@dataclass(frozen=True)
-class PeelResult:
-    residual: frozenset[int]
-    member: bool
-    size_ok: bool
-    degree_ok: bool
-
-
-def extend_by_set(
-    h: RGraph,
-    vertices: Iterable[int],
-    spec: ClassSpec,
-    eps: float | Fraction,
-    pi_ref: float | Fraction,
-) -> PeelResult:
+def extend_by_set(h: RGraph, vertices: Iterable[int], spec: ClassSpec) -> frozenset[int]:
     """Peel a hull-certifying deletion set down to a minimal one.
 
     Precondition: deleting the whole set lands in the hull.  The loop removes
@@ -324,10 +310,9 @@ def extend_by_set(
     membership; it reaches the empty set exactly when the graph itself is in
     the hull (the hull is hereditary, so it cannot manufacture membership).
     """
-    s = set(vertices)
-    if not in_hull(delete_vertices(h, s)[0], spec):
+    residual = set(vertices)
+    if not in_hull(delete_vertices(h, residual)[0], spec):
         raise ValueError("precondition violated: deleting the set does not reach the hull")
-    residual = set(s)
     progress = True
     while progress and residual:
         progress = False
@@ -336,13 +321,7 @@ def extend_by_set(
                 residual.discard(v)
                 progress = True
                 break
-    thr = _strict_threshold(pi_ref, eps, h.n, h.r - 1)
-    return PeelResult(
-        frozenset(residual),
-        member=in_hull(h, spec),
-        size_ok=len(s) <= eps * h.n,
-        degree_ok=h.min_degree() > thr,
-    )
+    return frozenset(residual)
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,11 @@ def ex_via_patterns(n: int, fam: FamilySpec, p_max: Optional[int] = None) -> ExR
     sizes.  For blowup-invariant families (caller-asserted) with ``p_max = n``
     this equals the brute-force value: symmetrized graphs are exactly proper
     blowups of their two-covered quotients, and symmetrization never loses
-    edges.  A pattern with more than ``COMPOSITION_BUDGET`` compositions
-    raises ``BudgetError``."""
+    edges.  A cap ``p_max`` below ``n`` makes the value a lower bound only;
+    a cap below 1 raises ``ValueError``.  A pattern with more than
+    ``COMPOSITION_BUDGET`` compositions raises ``BudgetError``."""
+    if p_max is not None and p_max < 1:
+        raise ValueError(f"pattern size cap must be >= 1, got {p_max}")
     p_cap = min(p_max if p_max is not None else n, n)
     patterns = two_covered_free_patterns(fam, p_cap)
     best_val = 0
@@ -263,15 +266,20 @@ def ex(n: int, fam: FamilySpec, method: str = "both", p_max: Optional[int] = Non
     proves ``L`` optimal or beats it.  A pattern witness is a free graph on
     ``n`` vertices with ``L`` edges, so an empty gated list is a
     ``SoundnessError``; a larger brute-force value is a route disagreement.
+
+    ``p_max`` caps the pattern size of the pattern route alone, where it makes
+    the value a lower bound; with ``brute`` or ``both`` it raises ``ValueError``.
     """
+    if method not in ("brute", "patterns", "both"):
+        raise ValueError(f"method must be brute|patterns|both, got {method!r}")
+    if p_max is not None and method != "patterns":
+        raise ValueError(f"a pattern size cap needs method 'patterns', not {method!r}")
     if method == "brute":
         return ex_bruteforce(n, fam)
     if method == "patterns":
         return ex_via_patterns(n, fam, p_max)
-    if method != "both":
-        raise ValueError(f"method must be brute|patterns|both, got {method!r}")
     check_enum_budget(n, fam.r)  # refuse n itself, before the patterns below n
-    patt = ex_via_patterns(n, fam, p_max)
+    patt = ex_via_patterns(n, fam)
     reps = free_representatives(n, fam, min_edges=patt.value)
     if not reps:
         raise SoundnessError(

@@ -73,16 +73,12 @@ def parse_family(text: str) -> FamilySpec:
     text = text.strip()
     if text.startswith("k") and text[1:].isdigit():
         return single_graph(cons.complete_graph(int(text[1:])))
-    if text.startswith("sigma"):
-        arg = text.split(":", 1)[1] if ":" in text else text[len("sigma") :]
-        if not arg.isdigit():
-            raise FormatError(f"bad family spec {text!r}: expected sigma:<r>")
-        return generalized_triangles(int(arg))
-    if text.startswith("cancellative"):
-        arg = text.split(":", 1)[1] if ":" in text else text[len("cancellative") :]
-        if not arg.isdigit():
-            raise FormatError(f"bad family spec {text!r}: expected cancellative:<r>")
-        return cancellative_family(int(arg))
+    for name, family in (("sigma", generalized_triangles), ("cancellative", cancellative_family)):
+        if text.startswith(name):
+            arg = text.split(":", 1)[1] if ":" in text else text[len(name) :]
+            if not arg.isdigit():
+                raise FormatError(f"bad family spec {text!r}: expected {name}:<r>")
+            return family(int(arg))
     if text.startswith("weakexp:"):
         return weak_expansions(hgr.load(text.split(":", 1)[1]))
     if text.startswith("file:"):
@@ -166,7 +162,6 @@ def op_make(tag: str, params: Sequence[str]) -> RGraph:
 def op_ex(p: dict, seed: int) -> dict:
     res = ex(p["n"], parse_family(p["family"]), p["method"], p["pmax"])
     return {
-        "command": "ex",
         "n": p["n"],
         "family": p["family"],
         "method": res.method,
@@ -179,7 +174,6 @@ def op_lagrangian(p: dict, seed: int) -> dict:
     g = hgr.load(p["input"])
     res = maximize(g, restarts=p["restarts"], seed=seed, all_supports=p["supports"])
     return {
-        "command": "lagrangian",
         "input": p["input"],
         "value": res.value,
         "method": res.method,
@@ -192,7 +186,6 @@ def op_lagrangian(p: dict, seed: int) -> dict:
 def op_symmetrize(p: dict, seed: int) -> dict:
     trace = symmetrize(hgr.load(p["input"]), parse_family(p["family"]), p["mode"])
     return {
-        "command": "symmetrize",
         "input": p["input"],
         "family": p["family"],
         "mode": p["mode"],
@@ -219,7 +212,6 @@ def op_scan(p: dict, seed: int) -> dict:
     n_range = (p["n_lo"], p["n_hi"])
     verdict = scan_stability(fam, spec, p["kind"], n_range, p["eps"], p["delta"], pi_val)
     return {
-        "command": "scan",
         "family": p["family"],
         "class": p["class"],
         "kind": p["kind"],
@@ -247,8 +239,7 @@ def op_scan(p: dict, seed: int) -> dict:
 
 def op_check(p: dict, seed: int) -> dict:
     g = hgr.load(p["input"])
-    out: dict[str, Any] = {"command": "check", "input": p["input"], "r": g.r, "n": g.n,
-                           "edges": len(g.edges)}
+    out: dict[str, Any] = {"input": p["input"], "r": g.r, "n": g.n, "edges": len(g.edges)}
     if p["class"] is not None:
         spec = parse_class(p["class"])
         out["class"] = p["class"]
@@ -265,7 +256,6 @@ def op_extendable(p: dict, seed: int) -> dict:
     verdict = check_vertex_extendable(g, p["vertex"], parse_class(p["class"]), p["zeta"],
                                       p["pi_ref"])
     return {
-        "command": "extendable",
         "input": p["input"],
         "vertex": p["vertex"],
         "class": p["class"],
@@ -285,7 +275,6 @@ def op_enum(p: dict, seed: int) -> dict:
     else:
         reps = enumerate_rgraphs(p["n"], p["r"])
     return {
-        "command": "enum",
         "n": p["n"],
         "r": p["r"],
         "family": p["family"],
@@ -325,7 +314,7 @@ class ExperimentConfig:
             raise FormatError("config field types: command=str, params=object")
         seed = obj.get("seed", 0)
         outputs = obj.get("outputs", {})
-        if not isinstance(seed, int) or not isinstance(outputs, dict):
+        if not hgr.is_json_int(seed) or not isinstance(outputs, dict):
             raise FormatError("config field types: seed=int, outputs=object")
         return cls(obj["command"], obj["params"], seed, outputs)
 
@@ -396,7 +385,8 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
     stores the canonical payload; any other name raises ``FormatError``, as
     does a missing or unknown name in ``params`` or a value of the wrong JSON
     type, before the command runs.  Number params reach the command as
-    ``Fraction``s (see ``_exact``).
+    ``Fraction``s (see ``_exact``).  The payload is the command's, with its
+    name under ``command``.
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")
@@ -423,7 +413,7 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
         if kinds[name] == "number" and value is not None:
             params[name] = _exact(config.command, name, value)
     started = time.monotonic()
-    payload = _DISPATCH[config.command](params, config.seed)
+    payload = {"command": config.command, **_DISPATCH[config.command](params, config.seed)}
     elapsed = time.monotonic() - started
     written = {}
     if "json" in config.outputs:

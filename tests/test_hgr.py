@@ -44,6 +44,22 @@ def test_reader_rejects(text):
         hgr.loads(text)
 
 
+def test_edge_set_rules_are_rgraphs():
+    # the readers leave arity, range and duplicates to RGraph, whose message shows
+    with pytest.raises(FormatError, match="duplicate edge \\(0, 1\\)"):
+        hgr.loads("2 3 2\n0 1\n0 1\n")
+    with pytest.raises(FormatError, match="duplicate edge \\(0, 1\\)"):
+        hgr.from_json_obj({"r": 2, "n": 3, "edges": [[0, 1], [1, 0]]})
+    with pytest.raises(FormatError, match="not a set of 3 distinct vertices"):
+        hgr.loads("3 4 1\n0 1\n")
+
+
+@pytest.mark.parametrize("v, ok", [(0, True), (-3, True), (True, False), (False, False),
+                                   (1.0, False), ("1", False), (None, False)])
+def test_is_json_int(v, ok):
+    assert hgr.is_json_int(v) is ok
+
+
 def test_json_mirror(tmp_path):
     g = cons.gen_triangle(3)
     obj = hgr.to_json_obj(g)
@@ -60,6 +76,9 @@ def test_json_mirror(tmp_path):
         {"r": 2, "n": 3, "edges": [[0, 1], [1, 0]]},
         {"r": "2", "n": 3, "edges": []},
         {"r": 2, "n": 3, "edges": [[0, 5]]},
+        {"r": True, "n": 3, "edges": []},
+        {"r": 2, "n": True, "edges": []},
+        {"r": 3, "n": 4, "edges": [[False, True, 2]]},
     ],
 )
 def test_json_rejects(obj):

@@ -8,6 +8,7 @@ import pytest
 
 from extremal import constructions as cons
 from extremal import lagrangian
+from extremal.errors import BudgetError
 from extremal.lagrangian import (
     SimplexPoint,
     _ascent,
@@ -292,6 +293,14 @@ class TestMaximize:
             extra = tuple(e for e in pool if rng.random() < 0.5)
             big = RGraph(2, 5, small.edges + extra)
             assert maximize(small).value <= maximize(big).value + 1e-9
+
+    def test_all_supports_refused_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(lagrangian, "SUPPORT_BUDGET", 3)
+        assert maximize(cons.complete_graph(3), all_supports=True).gap == 0
+        with pytest.raises(BudgetError, match="2\\^4 vertex subsets; capped at n <= 3"):
+            maximize(cons.complete_graph(4), all_supports=True)
+        # below SUPPORT_LIMIT supports are enumerated anyway, and the budget is moot
+        assert maximize(cons.complete_graph(4)).method == "support-enumeration"
 
     def test_multistart_path(self):
         g, _ = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(

@@ -6,14 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from extremal import constructions as cons
-from extremal.errors import SoundnessError
 from extremal.lagrangian import evaluate
 from extremal.rgraph import (
     RGraph,
     VertexPartition,
     blowup,
     class_energy,
-    degree_profile,
     delete_vertices,
     equivalence_classes,
     induced,
@@ -21,7 +19,6 @@ from extremal.rgraph import (
     is_symmetrized,
     is_two_covered,
     link,
-    neighborhood,
     pair_covered,
     shadow,
 )
@@ -107,18 +104,6 @@ class TestShadow:
     def test_range(self):
         with pytest.raises(ValueError):
             shadow(T3, 3)
-
-
-class TestNeighborhood:
-    def test_t3(self):
-        assert neighborhood(T3, 4) == {2, 3}
-
-    def test_empty(self):
-        assert neighborhood(RGraph(3, 4, ()), 1) == frozenset()
-
-    def test_complete(self):
-        k34 = cons.complete_rgraph(4, 3)
-        assert neighborhood(k34, 0) == {1, 2, 3}
 
 
 class TestEquivalence:
@@ -243,16 +228,6 @@ class TestDeletionAndDegrees:
     def test_induced_one_side(self):
         g, _ = induced(cons.turan_graph(5, 2), [0, 1, 2])
         assert g.edges == () and g.n == 3
-
-    def test_degree_profile(self):
-        prof = degree_profile(cons.complete_rgraph(4, 3))
-        assert prof.degrees == (3, 3, 3, 3)
-        assert prof.min_degree == 3
-
-    def test_degree_profile_checks_handshake(self, monkeypatch):
-        monkeypatch.setattr(RGraph, "degrees", property(lambda h: (0,) * h.n))
-        with pytest.raises(SoundnessError, match="degree sum"):
-            degree_profile(cons.complete_rgraph(4, 3))
 
     @given(rgraphs())
     def test_handshake(self, h):

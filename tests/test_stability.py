@@ -213,27 +213,20 @@ class TestExtendBySet:
     def test_pendant_success(self):
         k44 = cons.turan_graph(8, 2)
         h = RGraph(2, 9, k44.edges + ((0, 8),))
-        res = extend_by_set(h, [8], BIPARTITE, 0.2, 0.5)
-        assert res.residual == frozenset() and res.member
+        assert extend_by_set(h, [8], BIPARTITE) == frozenset()
 
     def test_inner_edge_fails(self):
         k44 = cons.turan_graph(8, 2)
         h = RGraph(2, 8, k44.edges + ((0, 1),))  # vertices 0..3 share a side
-        res = extend_by_set(h, [0, 1], BIPARTITE, 0.3, 0.5)
-        assert len(res.residual) == 1 and not res.member
+        # either end of the inner edge certifies on its own; the peel drops 0 first
+        assert extend_by_set(h, [0, 1], BIPARTITE) == frozenset({1})
 
     def test_empty_set_immediate(self):
-        res = extend_by_set(cons.turan_graph(6, 2), [], BIPARTITE, 0.1, 0.5)
-        assert res.residual == frozenset() and res.member
+        assert extend_by_set(cons.turan_graph(6, 2), [], BIPARTITE) == frozenset()
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            extend_by_set(cycle(5), [], BIPARTITE, 0.1, 0.5)
-
-    def test_exact_threshold_is_strict(self):
-        exact = extend_by_set(cycle(5), [0], BIPARTITE, Fraction(4, 15), Fraction(2, 3))
-        assert exact.size_ok and not exact.degree_ok
-        assert extend_by_set(cycle(5), [0], BIPARTITE, 4 / 15, 2 / 3).degree_ok
+            extend_by_set(cycle(5), [], BIPARTITE)
 
     def test_success_iff_in_hull(self):
         rng = random.Random(15)
@@ -243,9 +236,13 @@ class TestExtendBySet:
             smaller, _ = delete_vertices(h, s)
             if not in_hull(smaller, BIPARTITE):
                 continue
-            res = extend_by_set(h, s, BIPARTITE, 0.1, 0.5)
-            assert (res.residual == frozenset()) == in_hull(h, BIPARTITE)
-            assert res.member == in_hull(h, BIPARTITE)
+            residual = extend_by_set(h, s, BIPARTITE)
+            assert residual <= set(s)
+            assert in_hull(delete_vertices(h, residual)[0], BIPARTITE)
+            assert (residual == frozenset()) == in_hull(h, BIPARTITE)
+            # minimal: no single vertex of the residual can be kept
+            for v in residual:
+                assert not in_hull(delete_vertices(h, residual - {v})[0], BIPARTITE)
 
 
 class TestDistances:

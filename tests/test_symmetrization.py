@@ -227,6 +227,20 @@ class TestBothRoutes:
         with pytest.raises(ValueError):
             ex(4, K3FAM, method="magic")
 
+    @pytest.mark.parametrize("method", ["brute", "both"])
+    def test_pattern_cap_needs_the_pattern_route(self, method):
+        # under both, a cap below n made the routes differ with no fault:
+        # brute force 16 against patterns 12 for K4 at n = 7
+        with pytest.raises(ValueError, match="needs method 'patterns'"):
+            ex(7, K4FAM, method, p_max=2)
+
+    def test_pattern_cap_below_one(self):
+        with pytest.raises(ValueError, match="must be >= 1, got 0"):
+            ex(7, K4FAM, "patterns", p_max=0)
+
+    def test_capped_pattern_route_is_a_lower_bound(self):
+        assert ex(7, K4FAM, "patterns", p_max=2).value == 12 < ex(7, K4FAM).value == 16
+
     def test_budget_names_n_itself(self):
         # the pattern route below n would hit the budget at n - 1 first
         with pytest.raises(BudgetError, match="got 11"):

@@ -88,6 +88,11 @@ class TestConfig:
         with pytest.raises(FormatError):
             ExperimentConfig.from_json('{"params": {}}')
 
+    @pytest.mark.parametrize("seed", ["true", "false"])
+    def test_seed_must_be_a_json_integer(self, seed):
+        with pytest.raises(FormatError, match="seed=int"):
+            ExperimentConfig.from_json(f'{{"command": "ex", "params": {{}}, "seed": {seed}}}')
+
     def test_digest_stable(self):
         cfg = ExperimentConfig("ex", {"n": 5, "family": "k3"})
         assert cfg.digest() == ExperimentConfig.from_json(cfg.to_json()).digest()
@@ -245,6 +250,11 @@ class TestCli:
         assert payload["value"] == 30
         assert [w["n"] for w in payload["witnesses"]] == [11]
 
+    def test_ex_pmax_with_both_routes_exit_2(self, runner):
+        # a cap below n makes the pattern route a lower bound; it is that route's alone
+        res = runner.invoke(main, ["ex", "--n", "7", "--family", "k4", "--pmax", "2"])
+        assert res.exit_code == 2, res.output
+
     def test_lagrangian_csv(self, runner, tmp_path):
         p = tmp_path / "k3.hgr"
         hgr.dump(cons.complete_graph(3), p)
@@ -337,6 +347,14 @@ class TestCli:
         res = runner.invoke(main, ["make", "expansion", str(base), "-o", str(out)])
         assert res.exit_code == 0
         assert hgr.load(out) == cons.expansion(cons.matching(3, 2))
+
+    def test_make_expansion_refuses_a_bool_vertex(self, runner, tmp_path):
+        base = tmp_path / "b3.json"
+        base.write_text('{"r": 3, "n": 4, "edges": [[false, true, 2]]}')
+        out = tmp_path / "e.hgr"
+        res = runner.invoke(main, ["make", "expansion", str(base), "-o", str(out)])
+        assert res.exit_code == 2 and "must be a list of integers" in res.output
+        assert not out.exists()
 
     def test_make_bad_tag(self, runner, tmp_path):
         res = runner.invoke(main, ["make", "mystery", "1", "-o", str(tmp_path / "x.hgr")])

@@ -45,6 +45,7 @@ fail() {  # fail NAME ARG...: one CLI call that must fail, kept as NAME.out, .er
 printf '2 5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n' > c5.hgr
 printf '2 14 0\n' > empty14.hgr
 printf '2 3 2\n0 1\n0 1\n' > dup.hgr
+printf '{"r": 3, "n": 4, "edges": [[false, true, 2]]}' > bool3.json
 # a K4-free graph on 12 vertices that is not symmetrized
 cat > k4free12.hgr <<'HGR'
 2 12 35
@@ -199,3 +200,7 @@ fail ex-bad-family ex --n 5 --family mystery
 fail scan-no-preset scan --family file:c5.hgr --class bipartite --n 4..5 --eps 0.1
 fail scan-bad-eps scan --family k3 --class bipartite --n 4..5 --eps abc
 fail extendable-bad-zeta extendable c5.hgr --v 0 --class bipartite --zeta 1/0 --piref 0.5
+# a pattern size cap makes the pattern route a lower bound, so both routes refuse it
+fail ex-pmax-both ex --n 7 --family k4 --pmax 2
+# JSON booleans are not integers, though Python makes them ints
+fail make-json-bool make expansion bool3.json -o bool3-expansion.hgr
