@@ -48,8 +48,10 @@ Output contract: every graph that leaves enumeration, and every
 the classes in certificate order.  So output bytes depend only on the set of
 classes, not on which representative a search happened to build first.
 
-Budgets are deliberate: the module refuses sizes it cannot handle exactly
-rather than degrading silently.
+Budgets are deliberate: the module refuses work it cannot finish rather than
+degrading silently.  ``canonical_form`` refuses more than ``CANONICAL_MAX_N``
+vertices, and one enumeration refuses past ``CAPS["link sets"]``: the
+children it builds plus the orbit images its link search forms.
 """
 
 from __future__ import annotations
@@ -59,14 +61,10 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
-from .errors import BudgetError, SoundnessError
+from .errors import BudgetError, Meter, SoundnessError
 from .rgraph import RGraph, VertexPartition, equivalence_classes, mask_of, mask_to_tuple
 
 CANONICAL_MAX_N = 10
-
-# Default per-uniformity caps on the vertex count for exhaustive enumeration.
-ENUM_BUDGET = {2: 9, 3: 7, 4: 7}
-ENUM_BUDGET_DEFAULT = 6
 
 
 @dataclass(frozen=True)
@@ -271,14 +269,6 @@ def are_isomorphic(a: RGraph, b: RGraph) -> bool:
     return canonical_form(a).key == canonical_form(b).key
 
 
-def check_enum_budget(n: int, r: int) -> None:
-    """Raise ``BudgetError`` when exhaustive enumeration of ``r``-graphs on
-    ``n`` vertices exceeds ``ENUM_BUDGET``."""
-    limit = ENUM_BUDGET.get(r, ENUM_BUDGET_DEFAULT)
-    if n > limit:
-        raise BudgetError(f"enumeration of {r}-graphs capped at n <= {limit}, got {n}")
-
-
 def enumerate_rgraphs(
     n: int,
     r: int,
@@ -294,6 +284,8 @@ def enumerate_rgraphs(
 
     Each class is returned in its certificate labeling (a fixed point of
     ``canonical_relabel``), and the list is in increasing certificate order.
+    Past ``CAPS["link sets"]`` children and orbit images, or past
+    ``CANONICAL_MAX_N`` vertices, the call raises ``BudgetError``.
 
     The predicate must be hereditary: true of every graph isomorphic to a
     subgraph of a graph it holds for.  So a graph that fails is pruned with
@@ -361,7 +353,8 @@ def enumerate_rgraphs(
     arrives with its bitmask views (``edge_masks``, ``edge_mask_set``,
     ``degrees``, ``covered_adj``) carried over from the parent.
     """
-    check_enum_budget(n, r)
+    if n > CANONICAL_MAX_N:  # refused here, not after every level below n
+        raise BudgetError(f"enumeration needs canonical forms on n <= {CANONICAL_MAX_N}, got {n}")
     if min_degree > comb(max(n - 1, 0), r - 1) or min_edges > comb(n, r):
         return []
     # the gates for the classes on k + 1 vertices built at step k
@@ -373,6 +366,7 @@ def enumerate_rgraphs(
     # each class as (graph as built, final beam and twin classes of its
     # certificate search), the latter kept for the class's automorphisms, and
     # the certificates of the classes in the same order
+    meter = Meter("link sets")
     empty = RGraph(r, 0, ())
     reps = [(empty, [()], equivalence_classes(empty))]
     keys: list[tuple[int, ...]] = [()]
@@ -415,7 +409,8 @@ def enumerate_rgraphs(
                     moves.append(tuple(index[e] for e in images))
 
             def grow(start: int, picked: tuple[int, ...]) -> None:
-                if moves and not _first_in_orbit(picked, moves):
+                meter.tick()
+                if moves and not _first_in_orbit(picked, moves, meter):
                     return
                 g = base._plus_vertex(
                     tuple(pool[i] for i in picked), tuple(pool_masks[i] for i in picked)
@@ -434,9 +429,10 @@ def enumerate_rgraphs(
     return [RGraph.from_masks(r, n, key) for key in keys]
 
 
-def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]]) -> bool:
+def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]], meter: Meter) -> bool:
     """Whether the sorted tuple ``t`` is the lexicographically least set in
     its orbit under the permutations ``moves``; stops at the first smaller.
+    Each round of the search ticks ``meter`` with the images it may form.
 
     The least sets are closed under dropping the largest element: if a
     permutation ``p`` maps ``t`` to a smaller set, it also maps ``t`` plus any
@@ -447,6 +443,7 @@ def _first_in_orbit(t: tuple[int, ...], moves: list[tuple[int, ...]]) -> bool:
     seen = {t}
     frontier = [t]
     while frontier:
+        meter.tick(len(frontier) * len(moves))
         nxt = []
         for s in frontier:
             for p in moves:

@@ -8,11 +8,12 @@ weights are Fractions or ints, which is how the blowup identity is checked
 without tolerances.
 
 The maximizer is honest about its limits: for at most ``SUPPORT_LIMIT``
-vertices (or ``SUPPORT_BUDGET``, when asked for ``all_supports``) it enumerates
-the supports in which every pair of vertices lies in an edge inside the support
+vertices (or more, when asked for ``all_supports``) it enumerates the supports
+in which every pair of vertices lies in an edge inside the support
 (Frankl–Rödl) and runs a projected-gradient ascent on each (certificate gap 0
 when every inner problem converged), beyond that it falls back to seeded
 multistart ascent and reports the complete-graph value as the remaining gap.
+One call refuses past ``CAPS["support subsets"]`` or ``CAPS["ascent steps"]``.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import Meter
 from .rgraph import RGraph, mask_to_tuple
 
 SIMPLEX_TOL = 1e-12
 ASCENT_TOL = 1e-10  # the ascent stops once its projected gradient is this short
 ASCENT_MAX_ITER = 10_000
 SUPPORT_LIMIT = 12  # vertices; past it maximize runs multistart ascent instead
-SUPPORT_BUDGET = 14  # vertices; past it all_supports raises BudgetError
 
 
 @dataclass(frozen=True)
@@ -200,11 +200,13 @@ def semibipartite_residual(r: int, x: float) -> float:
 # maximization
 
 
-def _ascent(E: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def _ascent(E: np.ndarray, x0: np.ndarray, meter: Meter) -> tuple[np.ndarray, float, bool]:
+    """Projected-gradient ascent from ``x0``; its gradient steps tick ``meter``
+    once it stops."""
     x = x0.copy()
     fx = _poly(E, x)
     converged = False
-    for _ in range(ASCENT_MAX_ITER):
+    for steps in range(1, ASCENT_MAX_ITER + 1):
         g = _poly_grad(E, x)
         free = x > 1e-14
         gf = g[free]
@@ -226,6 +228,7 @@ def _ascent(E: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, float, bool]:
         if not moved:
             converged = True  # no ascent direction left at working precision
             break
+    meter.tick(steps)
     return x, fx, converged
 
 
@@ -251,20 +254,20 @@ def maximize(
     and the ascent on that support, started at its uniform point, looks for it.
 
     Support enumeration runs when ``g`` has at most ``SUPPORT_LIMIT`` vertices
-    or ``all_supports`` is set; it passes over every vertex subset of ``g``,
-    so ``all_supports`` past ``SUPPORT_BUDGET`` vertices raises
-    ``BudgetError``.  Otherwise ``restarts`` seeded ascents start from random
+    or ``all_supports`` is set; it passes over all ``2^m - 1`` nonempty vertex
+    subsets of ``g``, which count against ``CAPS["support subsets"]`` before
+    the walk starts.  Otherwise ``restarts`` seeded ascents start from random
     points, and the gap is the distance from the best value to the
-    complete-graph value.
+    complete-graph value; ``restarts`` below 1 raises ``ValueError``.  The
+    gradient steps of every ascent count against ``CAPS["ascent steps"]``;
+    past either cap the call raises ``BudgetError``.
     """
     m = g.n
     if m < 1:
         raise ValueError("maximize needs at least one vertex")
-    if all_supports and m > SUPPORT_BUDGET:
-        raise BudgetError(
-            f"support enumeration walks all 2^{m} vertex subsets; "
-            f"capped at n <= {SUPPORT_BUDGET}"
-        )
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    meter = Meter("ascent steps")
     edges = [(mk, mask_to_tuple(mk)) for mk in g.edge_masks]
 
     best_x = np.full(m, 1.0 / m)
@@ -279,6 +282,7 @@ def maximize(
 
     if all_supports or m <= SUPPORT_LIMIT:
         method = "support-enumeration"
+        Meter("support subsets").tick((1 << m) - 1)
         for support in range(1, 1 << m):
             inside = [(mk, vs) for mk, vs in edges if mk & ~support == 0]
             if not inside:
@@ -295,7 +299,7 @@ def maximize(
             k = len(verts)
             E = np.array([[pos[v] for v in vs] for _, vs in inside], dtype=np.intp)
             x0 = np.full(k, 1.0 / k)
-            x, fx, conv = _ascent(E, x0)
+            x, fx, conv = _ascent(E, x0, meter)
             all_converged = all_converged and conv
             if fx > best_val:
                 full = np.zeros(m)
@@ -308,7 +312,7 @@ def maximize(
         E = _edge_array(g)
         for _ in range(restarts):
             x0 = rng.dirichlet(np.ones(m))
-            x, fx, conv = _ascent(E, x0)
+            x, fx, conv = _ascent(E, x0, meter)
             all_converged = all_converged and conv
             if fx > best_val:
                 best_val, best_x = fx, x

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, Optional
 
-from .errors import BudgetError
+from .errors import BudgetError, Meter
 from .isomorphism import canonical_form, enumerate_rgraphs
 from .rgraph import RGraph, induced, is_two_covered, mask_of, mask_to_tuple
 
@@ -40,8 +40,6 @@ EXPLICIT = "explicit"
 GEN_TRIANGLE = "generalized-triangle"
 CANCELLATIVE = "cancellative"
 WEAK_EXPANSION = "weak-expansion"
-
-WEAK_EXPANSION_BUDGET = 200_000  # raw members family_members may list
 
 
 @dataclass(frozen=True)
@@ -377,14 +375,7 @@ def _weak_expansion_members(base: RGraph) -> tuple[RGraph, ...]:
     total_n = base.n + extra * len(pairs)
     if total_n > 64:
         raise BudgetError("weak-expansion member universe exceeds 64 vertices")
-    count = 1
-    for _ in pairs:
-        count *= comb(total_n - 2, extra)
-        if count > WEAK_EXPANSION_BUDGET:
-            raise BudgetError(
-                f"weak-expansion family has more than {WEAK_EXPANSION_BUDGET} raw members; "
-                "use the detector instead"
-            )
+    Meter("expansion members").tick(comb(total_n - 2, extra) ** len(pairs))
     out: dict[tuple, RGraph] = {}
     slots = list(range(total_n))
     per_pair = []

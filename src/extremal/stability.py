@@ -21,9 +21,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, floor
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import SoundnessError
+from .errors import CAPS, SoundnessError
 from .morphism import (
     FamilySpec,
     free_representatives,
@@ -46,8 +46,6 @@ from .rgraph import (
 COMPLETE_BLOWUPS = "complete-blowups"
 SEMIBIPARTITE = "semibipartite"
 TWO_COVERED = "two-covered-systems"
-
-EDGE_DISTANCE_BUDGET = 2_000_000  # search nodes; past it the edge distance is inexact
 
 
 @dataclass(frozen=True)
@@ -302,28 +300,6 @@ def check_vertex_extendable(
     return ExtendVerdict(status, degree_ok, base_ok, self_ok, thr)
 
 
-def extend_by_set(h: RGraph, vertices: Iterable[int], spec: ClassSpec) -> frozenset[int]:
-    """Peel a hull-certifying deletion set down to a minimal one.
-
-    Precondition: deleting the whole set lands in the hull.  The loop removes
-    one vertex at a time as long as the smaller deletion still certifies hull
-    membership; it reaches the empty set exactly when the graph itself is in
-    the hull (the hull is hereditary, so it cannot manufacture membership).
-    """
-    residual = set(vertices)
-    if not in_hull(delete_vertices(h, residual)[0], spec):
-        raise ValueError("precondition violated: deleting the set does not reach the hull")
-    progress = True
-    while progress and residual:
-        progress = False
-        for v in sorted(residual):
-            if in_hull(delete_vertices(h, residual - {v})[0], spec):
-                residual.discard(v)
-                progress = True
-                break
-    return frozenset(residual)
-
-
 # ---------------------------------------------------------------------------
 # deletion distances
 
@@ -439,10 +415,10 @@ def edge_deletion_distance(h: RGraph, spec: ClassSpec) -> tuple[int, bool]:
     """Least number of edge deletions landing in the hull, as ``(value,
     exact)``: a branch and bound over the class assignments of the complete
     blowup, each two-covered pattern or the semibipartition A/B, counting
-    violated edges, whose every node counts against ``EDGE_DISTANCE_BUDGET``
+    violated edges, whose every node counts against ``CAPS["deletion nodes"]``
     (past it the best value so far comes back inexact).  The violated edges are
     checked with ``in_hull``; a failure raises ``SoundnessError``."""
-    value, exact, violated = _least_deletions(h, spec, False, EDGE_DISTANCE_BUDGET)
+    value, exact, violated = _least_deletions(h, spec, False, CAPS["deletion nodes"])
     if not in_hull(RGraph(h.r, h.n, tuple(set(h.edges) - set(violated))), spec):
         raise SoundnessError(f"deleting edges {violated} from {h!r} leaves it outside {spec.label}")
     return value, exact

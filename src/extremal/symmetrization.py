@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
-from .errors import BudgetError, SoundnessError
+from .errors import Meter, SoundnessError
 # canonical_form is unused here; perfbench/tests checks that its tracer rebinds it
-from .isomorphism import CANONICAL_MAX_N, canonical_form, canonical_relabel, check_enum_budget
+from .isomorphism import CANONICAL_MAX_N, canonical_form, canonical_relabel
 from .morphism import FamilySpec, free_representatives, is_free, two_covered_free_patterns
 from .rgraph import (
     RGraph,
@@ -36,8 +36,6 @@ from .rgraph import (
 
 CLASS_MODE = "class"
 VERTEX_MODE = "vertex"
-# the pattern route refuses a pattern with more compositions of n than this
-COMPOSITION_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -216,21 +214,18 @@ def ex_via_patterns(n: int, fam: FamilySpec, p_max: Optional[int] = None) -> ExR
     this equals the brute-force value: symmetrized graphs are exactly proper
     blowups of their two-covered quotients, and symmetrization never loses
     edges.  A cap ``p_max`` below ``n`` makes the value a lower bound only;
-    a cap below 1 raises ``ValueError``.  A pattern with more than
-    ``COMPOSITION_BUDGET`` compositions raises ``BudgetError``."""
+    a cap below 1 raises ``ValueError``.  The compositions of every pattern
+    count against ``CAPS["compositions"]``, each pattern's before its walk;
+    past the cap the call raises ``BudgetError``."""
     if p_max is not None and p_max < 1:
         raise ValueError(f"pattern size cap must be >= 1, got {p_max}")
     p_cap = min(p_max if p_max is not None else n, n)
     patterns = two_covered_free_patterns(fam, p_cap)
     best_val = 0
     best: list[tuple[int, RGraph, tuple[int, ...]]] = []
+    meter = Meter("compositions")
     for i, pat in enumerate(patterns):
-        count = comb(n - 1, pat.n - 1)
-        if count > COMPOSITION_BUDGET:
-            raise BudgetError(
-                f"a {pat.n}-vertex pattern has {count} compositions of n={n}, "
-                f"past the budget of {COMPOSITION_BUDGET}"
-            )
+        meter.tick(comb(n - 1, pat.n - 1))
         for sizes in _compositions(n, pat.n):
             val = _blowup_size(pat, sizes)
             if val > best_val:
@@ -278,7 +273,6 @@ def ex(n: int, fam: FamilySpec, method: str = "both", p_max: Optional[int] = Non
         return ex_bruteforce(n, fam)
     if method == "patterns":
         return ex_via_patterns(n, fam, p_max)
-    check_enum_budget(n, fam.r)  # refuse n itself, before the patterns below n
     patt = ex_via_patterns(n, fam)
     reps = free_representatives(n, fam, min_edges=patt.value)
     if not reps:

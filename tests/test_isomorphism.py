@@ -5,8 +5,9 @@ import random
 import pytest
 
 from extremal import constructions as cons
+from extremal import errors
 from extremal import isomorphism
-from extremal.errors import BudgetError, SoundnessError
+from extremal.errors import BudgetError, Meter, SoundnessError
 from extremal.isomorphism import (
     _first_in_orbit,
     _refine,
@@ -126,13 +127,19 @@ def test_canonical_relabel_is_isomorphic():
     assert are_isomorphic(g, c)
 
 
-def test_budget():
+def test_budget(monkeypatch):
     with pytest.raises(BudgetError):
         canonical_form(RGraph(2, 11, ()))
-    with pytest.raises(BudgetError):
-        enumerate_rgraphs(10, 2)
-    with pytest.raises(BudgetError):
-        enumerate_rgraphs(8, 3)
+    with pytest.raises(BudgetError, match="canonical forms on n <= 10, got 11"):
+        enumerate_rgraphs(11, 2)
+    # the 11 graphs on 4 vertices take 146 link sets, the 34 on 5 take 1,346,
+    # and each call counts its own
+    monkeypatch.setitem(errors.CAPS, "link sets", 146)
+    assert len(enumerate_rgraphs(4, 2)) == len(enumerate_rgraphs(4, 2)) == 11
+    with pytest.raises(BudgetError, match="link sets past the cap of 146"):
+        enumerate_rgraphs(5, 2)
+    with pytest.raises(BudgetError, match="link sets past the cap of 146"):
+        enumerate_rgraphs(5, 3)
 
 
 def test_triangle_free_enumeration_counts():
@@ -242,7 +249,7 @@ def test_accepting_a_class_twice_raises(monkeypatch):
     # without the parent-side orbit pruning, two links in one orbit of the
     # parent's automorphisms both pass the child-side test, and the duplicate
     # certificate must fail loudly, also under python -O
-    monkeypatch.setattr(isomorphism, "_first_in_orbit", lambda t, moves: True)
+    monkeypatch.setattr(isomorphism, "_first_in_orbit", lambda t, moves, meter: True)
     with pytest.raises(SoundnessError, match="twice"):
         enumerate_rgraphs(4, 2)
 
@@ -258,10 +265,10 @@ def test_first_in_orbit_finds_the_least_set_and_is_prefix_closed():
         for size in range(m + 1):
             for t in itertools.combinations(range(m), size):
                 least = min(tuple(sorted(p[i] for i in t)) for p in group)
-                first = _first_in_orbit(t, gens)
+                first = _first_in_orbit(t, gens, Meter("link sets"))
                 assert first == (least == t)
                 if t and first:
-                    assert _first_in_orbit(t[:-1], gens)
+                    assert _first_in_orbit(t[:-1], gens, Meter("link sets"))
 
 
 CARRIED_VIEWS = ("edge_masks", "edge_mask_set", "covered_adj", "degrees")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from extremal import constructions as cons
-from extremal import lagrangian
-from extremal.errors import BudgetError
+from extremal import errors, lagrangian
+from extremal.errors import BudgetError, Meter
 from extremal.lagrangian import (
     SimplexPoint,
     _ascent,
@@ -195,9 +195,9 @@ class TestKernelBits:
         cases = []
         real_ascent = lagrangian._ascent
 
-        def record(E, x0):
+        def record(E, x0, meter):
             cases.append((E, x0))
-            return real_ascent(E, x0)
+            return real_ascent(E, x0, meter)
 
         graphs = [g for n in range(1, 7) for g in all_graphs_upto_7[n]]
         graphs += [g for n in range(1, 6) for g in all_3graphs_upto_6[n]]
@@ -212,7 +212,7 @@ class TestKernelBits:
                 E = np.array(random_rgraph(rng, m, r, 0.5).edges, dtype=np.intp)
                 cases.append((E, gen.dirichlet(np.ones(m))))
 
-        expected = [_ascent(E, x0) for E, x0 in cases]
+        expected = [_ascent(E, x0, Meter("ascent steps")) for E, x0 in cases]
         calls = 0
 
         def loop_projection(v):
@@ -222,7 +222,7 @@ class TestKernelBits:
 
         monkeypatch.setattr(lagrangian, "project_to_simplex", loop_projection)
         for (E, x0), (x, fx, conv) in zip(cases, expected):
-            x_loop, fx_loop, conv_loop = _ascent(E, x0)
+            x_loop, fx_loop, conv_loop = _ascent(E, x0, Meter("ascent steps"))
             assert x.tobytes() == x_loop.tobytes(), E.tolist()
             assert (fx, conv) == (fx_loop, conv_loop), E.tolist()
         assert calls > len(cases)  # the ascent looks the projection up as a module global
@@ -295,12 +295,30 @@ class TestMaximize:
             assert maximize(small).value <= maximize(big).value + 1e-9
 
     def test_all_supports_refused_past_the_budget(self, monkeypatch):
-        monkeypatch.setattr(lagrangian, "SUPPORT_BUDGET", 3)
+        monkeypatch.setitem(errors.CAPS, "support subsets", 2**3 - 1)
         assert maximize(cons.complete_graph(3), all_supports=True).gap == 0
-        with pytest.raises(BudgetError, match="2\\^4 vertex subsets; capped at n <= 3"):
+        with pytest.raises(BudgetError, match="15 support subsets past the cap of 7"):
             maximize(cons.complete_graph(4), all_supports=True)
-        # below SUPPORT_LIMIT supports are enumerated anyway, and the budget is moot
-        assert maximize(cons.complete_graph(4)).method == "support-enumeration"
+        # below SUPPORT_LIMIT the walk runs unasked, and it counts all the same
+        with pytest.raises(BudgetError, match="15 support subsets"):
+            maximize(cons.complete_graph(4))
+
+    def test_ascent_steps_refused_past_the_budget(self, monkeypatch):
+        # the one ascent on the support {0..4} stops at ASCENT_MAX_ITER, and
+        # all ascents on this graph take 10,083 steps
+        g = RGraph(3, 5, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4),
+                          (1, 2, 3)))
+        assert not maximize(g).converged
+        monkeypatch.setitem(errors.CAPS, "ascent steps", 5_000)
+        with pytest.raises(BudgetError, match="ascent steps past the cap of 5000"):
+            maximize(g)
+
+    @pytest.mark.parametrize("restarts", [0, -5])
+    def test_restarts_below_one_refused(self, restarts):
+        # 13 vertices run multistart ascent, which would report that no
+        # ascent failed to converge although none ran
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            maximize(cons.turan_graph(13, 3), restarts=restarts)
 
     def test_multistart_path(self):
         g, _ = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
@@ -333,7 +351,7 @@ def _every_support_maximize(g):
         if not inside:
             continue
         x0 = np.full(len(verts), 1.0 / len(verts))
-        x, fx, conv = _ascent(np.array(inside, dtype=np.intp), x0)
+        x, fx, conv = _ascent(np.array(inside, dtype=np.intp), x0, Meter("ascent steps"))
         converged = converged and conv
         if fx > best_val:
             best_val, best_x = fx, np.zeros(m)

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from extremal import constructions as cons
+from extremal.errors import BudgetError
 from extremal.isomorphism import enumerate_rgraphs
 from extremal.morphism import (
     WeakExpansionWitness,
@@ -185,6 +186,12 @@ class TestFamilies:
         members = family_members(fam)
         # one uncovered-pair-free completion each: pairs {0,2},{1,2} get edges
         assert all(len(m.edges) == 3 for m in members)
+
+    def test_weak_expansion_members_refused_past_the_budget(self):
+        # two disjoint triples leave 9 pairs uncovered, and each pair's new
+        # edge takes one of 13 other vertices: 13^9 raw members
+        with pytest.raises(BudgetError, match="^10604499373 expansion members past the cap"):
+            family_members(weak_expansions(cons.matching(3, 2)))
 
 
 class TestBlowupInvariance:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from extremal import constructions as cons
+from extremal import errors
 from extremal.isomorphism import are_isomorphic
 from extremal.morphism import single_graph, two_covered_free_patterns
 from extremal.errors import SoundnessError
@@ -26,7 +27,6 @@ from extremal.stability import (
     class_membership,
     complete_blowups,
     edge_deletion_distance,
-    extend_by_set,
     in_hull,
     krl_coloring,
     rainbow_partition,
@@ -209,42 +209,6 @@ class TestExtendability:
         assert f.threshold == (2 / 3 - 4 / 15) * 5 < 2 and f.degree_ok
 
 
-class TestExtendBySet:
-    def test_pendant_success(self):
-        k44 = cons.turan_graph(8, 2)
-        h = RGraph(2, 9, k44.edges + ((0, 8),))
-        assert extend_by_set(h, [8], BIPARTITE) == frozenset()
-
-    def test_inner_edge_fails(self):
-        k44 = cons.turan_graph(8, 2)
-        h = RGraph(2, 8, k44.edges + ((0, 1),))  # vertices 0..3 share a side
-        # either end of the inner edge certifies on its own; the peel drops 0 first
-        assert extend_by_set(h, [0, 1], BIPARTITE) == frozenset({1})
-
-    def test_empty_set_immediate(self):
-        assert extend_by_set(cons.turan_graph(6, 2), [], BIPARTITE) == frozenset()
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            extend_by_set(cycle(5), [], BIPARTITE)
-
-    def test_success_iff_in_hull(self):
-        rng = random.Random(15)
-        for _ in range(25):
-            h = random_rgraph(rng, 6, 2, 0.4)
-            s = [v for v in range(6) if rng.random() < 0.4]
-            smaller, _ = delete_vertices(h, s)
-            if not in_hull(smaller, BIPARTITE):
-                continue
-            residual = extend_by_set(h, s, BIPARTITE)
-            assert residual <= set(s)
-            assert in_hull(delete_vertices(h, residual)[0], BIPARTITE)
-            assert (residual == frozenset()) == in_hull(h, BIPARTITE)
-            # minimal: no single vertex of the residual can be kept
-            for v in residual:
-                assert not in_hull(delete_vertices(h, residual - {v})[0], BIPARTITE)
-
-
 class TestDistances:
     def test_c5_distances(self):
         assert vertex_deletion_distance(cycle(5), BIPARTITE) == 1
@@ -356,8 +320,6 @@ class TestDistances:
             assert edge_deletion_distance(h, two_covered_systems(3, 7)) == (0, True)
 
     def test_node_budget_gives_an_inexact_upper_bound(self, monkeypatch):
-        import extremal.stability as stability
-
         cases = [
             (cycle(7), BIPARTITE),
             (cons.turan_plus(6, 3), complete_blowups(2, 3)),
@@ -373,7 +335,7 @@ class TestDistances:
             assert exact and value > 0
             for budget in (1, 2, 3):
                 with monkeypatch.context() as m:
-                    m.setattr(stability, "EDGE_DISTANCE_BUDGET", budget)
+                    m.setitem(errors.CAPS, "deletion nodes", budget)
                     bound, flag = edge_deletion_distance(g, spec)
                 assert not flag and bound >= value, (g.edges, spec.label, budget)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from extremal import constructions as cons
-from extremal import symmetrization
+from extremal import errors, morphism, symmetrization
 from extremal.errors import BudgetError, SoundnessError
 from extremal.isomorphism import are_isomorphic
 from extremal.morphism import (
@@ -187,9 +187,10 @@ class TestExPatterns:
         assert res.value == ex_bruteforce(6, SIGMA3).value
 
     def test_refuses_past_the_composition_budget(self, monkeypatch):
-        # the one-vertex pattern has one composition, the edge K2 has seven
-        monkeypatch.setattr(symmetrization, "COMPOSITION_BUDGET", 1)
-        with pytest.raises(BudgetError, match="7 compositions of n=8"):
+        # the one-vertex pattern has one composition of 8, the edge K2 has
+        # seven, and one call counts them together
+        monkeypatch.setitem(errors.CAPS, "compositions", 7)
+        with pytest.raises(BudgetError, match="8 compositions past the cap of 7"):
             ex_via_patterns(8, K3FAM)
 
     def test_witnesses_free_with_value(self):
@@ -219,9 +220,11 @@ class TestBothRoutes:
         assert res.method == "both-agree"
         assert res.value == n * n // 4
 
-    @pytest.mark.parametrize("n", range(4, 7))
+    @pytest.mark.parametrize("n", range(4, 9))
     def test_sigma3_agreement(self, n):
-        assert ex(n, SIGMA3).value == len(cons.turan_rgraph(n, 3, 3).edges)
+        res = ex(n, SIGMA3)
+        assert res.method == "both-agree"
+        assert res.value == len(cons.turan_rgraph(n, 3, 3).edges)
 
     def test_bad_method(self):
         with pytest.raises(ValueError):
@@ -241,10 +244,14 @@ class TestBothRoutes:
     def test_capped_pattern_route_is_a_lower_bound(self):
         assert ex(7, K4FAM, "patterns", p_max=2).value == 12 < ex(7, K4FAM).value == 16
 
-    def test_budget_names_n_itself(self):
-        # the pattern route below n would hit the budget at n - 1 first
-        with pytest.raises(BudgetError, match="got 11"):
-            ex(11, K3FAM)
+    def test_budget_names_n_itself(self, monkeypatch):
+        # each enumeration counts its own link sets: at n = 8 those of the
+        # pattern route take at most 12, and the gated brute force takes 658
+        morphism._free_representatives.cache_clear()
+        monkeypatch.setitem(errors.CAPS, "link sets", 100)
+        assert ex(8, K3FAM, "patterns").value == 16
+        with pytest.raises(BudgetError, match="link sets past the cap of 100"):
+            ex(8, K3FAM)
 
     @pytest.mark.parametrize(
         "shift, message", [(1, "free graph on 8 vertices has the 17"), (-1, "route disagreement")]

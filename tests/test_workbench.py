@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from conftest import cycle
 
-from extremal import constructions as cons, hgr
+from extremal import constructions as cons, errors, hgr
 from extremal.cli import main
 from extremal.errors import FormatError
 from extremal.isomorphism import are_isomorphic
@@ -284,9 +284,12 @@ class TestCli:
         res = runner.invoke(main, ["lagrangian", str(p)])
         assert res.exit_code == 2
 
-    def test_budget_exit_3(self, runner):
+    def test_budget_exit_3(self, runner, monkeypatch):
+        # at the default cap this call refuses after about 3 s of work
+        monkeypatch.setitem(errors.CAPS, "link sets", 1000)
         res = runner.invoke(main, ["enum", "--n", "9", "--r", "3"])
         assert res.exit_code == 3
+        assert "link sets past the cap of 1000" in res.output
 
     def test_scan_expect_clean_exit_4(self, runner):
         res = runner.invoke(

@@ -106,10 +106,11 @@ run enum-5-3 enum --n 5 --r 3 -o enum-5-3 --json enum-5-3.json
 run enum-6-3 enum --n 6 --r 3 -o enum-6-3 --json enum-6-3.json
 run enum-sigma3 enum --n 6 --r 3 --family sigma:3 -o enum-sigma3 --json enum-sigma3.json
 run enum-k4 enum --n 7 --r 2 --family k4 --json enum-k4.json
-# triangle-free graphs at the enumeration budget for graphs (n = 9)
+# triangle-free graphs on 9 vertices
 run enum-k3-9 enum --n 9 --r 2 --family k3 --json enum-k3-9.json
 run ex8-k3 ex --n 8 --family k3 --method both --json ex8-k3.json --witness-dir wit8
 run ex6-sigma3 ex --n 6 --family sigma:3 --json ex6-sigma3.json --witness-dir wit6
+run ex8-sigma3 ex --n 8 --family sigma:3 --json ex8-sigma3.json
 # each route of ex on its own; the pattern route also past the canonical budget
 run ex8-k3-patterns ex --n 8 --family k3 --method patterns --json ex8-k3-patterns.json
 run ex8-k3-brute ex --n 8 --family k3 --method brute --json ex8-k3-brute.json
@@ -196,6 +197,7 @@ fail scan-k4-dirty scan --family k4 --class bipartite --kind degree --n 5..5 --e
   --piref 0.6666666666666666 --expect-clean --json scan-k4-dirty.json
 fail make-bad-tag make mystery 1 -o mystery.hgr
 fail lag-dup lagrangian dup.hgr
+fail lag-restarts lagrangian big.hgr --restarts 0
 fail ex-bad-family ex --n 5 --family mystery
 fail scan-no-preset scan --family file:c5.hgr --class bipartite --n 4..5 --eps 0.1
 fail scan-bad-eps scan --family k3 --class bipartite --n 4..5 --eps abc
