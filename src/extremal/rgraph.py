@@ -304,12 +304,7 @@ def delete_vertices(h: RGraph, drop: Iterable[int]) -> tuple[RGraph, dict[int, i
             raise ValueError(f"vertex {v} out of range")
     keep = [v for v in range(h.n) if v not in drop_set]
     relabel = {old: new for new, old in enumerate(keep)}
-    drop_mask = mask_of(drop_set)
-    edges = tuple(
-        tuple(relabel[v] for v in e)
-        for e, m in zip(h.edges, (mask_of(e) for e in h.edges))
-        if not m & drop_mask
-    )
+    edges = tuple(tuple(relabel[v] for v in e) for e in h.edges if drop_set.isdisjoint(e))
     return RGraph(h.r, len(keep), edges), relabel
 
 

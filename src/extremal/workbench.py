@@ -6,22 +6,18 @@ as an exact ``Fraction`` and dispatches.  Every computing CLI subcommand
 builds such a config, so a config plus a seed fully determines the outputs,
 and a threshold is exact from either.  Payloads print those numbers as
 floats.  Output JSON is canonical (sorted keys, two-space indent, trailing
-newline) and CSV floats carry 12 significant digits; wall time lives only on
-the result record, never in output files.
+newline) and CSV floats carry 12 significant digits.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from . import __version__
 from . import constructions as cons
 from . import hgr
 from .errors import FormatError
@@ -312,27 +308,17 @@ class ExperimentConfig:
             raise FormatError(f"config missing keys: {sorted(missing)}")
         if not isinstance(obj["command"], str) or not isinstance(obj["params"], dict):
             raise FormatError("config field types: command=str, params=object")
-        seed = obj.get("seed", 0)
         outputs = obj.get("outputs", {})
-        if not hgr.is_json_int(seed) or not isinstance(outputs, dict):
-            raise FormatError("config field types: seed=int, outputs=object")
-        return cls(obj["command"], obj["params"], seed, outputs)
-
-    def to_json(self) -> str:
-        return canonical_json(
-            {"command": self.command, "params": self.params, "seed": self.seed,
-             "outputs": self.outputs}
-        )
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
+        if not isinstance(outputs, dict):
+            raise FormatError("config field types: outputs=object")
+        return cls(obj["command"], obj["params"], obj.get("seed", 0), outputs)
 
 
 @dataclass
 class ResultRecord:
-    config_digest: str
-    tool_version: str
-    wall_time_s: float
+    """What ``run`` returns: ``outputs == {"payload": payload}``, the shape
+    the benchmark reads."""
+
     outputs: dict
 
 
@@ -378,21 +364,23 @@ def _exact(command: str, name: str, value: int | float | str) -> Fraction:
         raise FormatError(f"{command} param {name!r} must be number, got {value!r}") from exc
 
 
-def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
-    """Execute a config and persist any requested outputs.
+def run(config: ExperimentConfig) -> ResultRecord:
+    """Execute a config, write the payload if asked, and return it.
 
     ``outputs`` maps logical names to paths.  The one name is ``json``, which
     stores the canonical payload; any other name raises ``FormatError``, as
-    does a missing or unknown name in ``params`` or a value of the wrong JSON
-    type, before the command runs.  Number params reach the command as
-    ``Fraction``s (see ``_exact``).  The payload is the command's, with its
-    name under ``command``.
+    does a seed that is not a JSON integer of at least 0, a missing or unknown
+    name in ``params`` or a value of the wrong JSON type, before the command
+    runs.  Number params reach the command as ``Fraction``s (see ``_exact``).
+    The payload is the command's, with its name under ``command``.
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")
     for name in config.outputs:
         if name != "json":
             raise FormatError(f"unknown output kind {name!r}")
+    if not hgr.is_json_int(config.seed) or config.seed < 0:
+        raise FormatError(f"seed must be a JSON integer of at least 0, got {config.seed!r}")
     required, optional = _PARAMS[config.command]
     missing = [k for k in required if k not in config.params]
     if missing:
@@ -412,12 +400,7 @@ def run(config: ExperimentConfig, workdir: str | Path = ".") -> ResultRecord:
     for name, value in params.items():
         if kinds[name] == "number" and value is not None:
             params[name] = _exact(config.command, name, value)
-    started = time.monotonic()
     payload = {"command": config.command, **_DISPATCH[config.command](params, config.seed)}
-    elapsed = time.monotonic() - started
-    written = {}
     if "json" in config.outputs:
-        path = Path(workdir) / config.outputs["json"]
-        path.write_text(canonical_json(payload))
-        written["json"] = str(path)
-    return ResultRecord(config.digest(), __version__, elapsed, {"payload": payload, **written})
+        Path(config.outputs["json"]).write_text(canonical_json(payload))
+    return ResultRecord({"payload": payload})

@@ -73,12 +73,13 @@ class TestParsers:
 
 
 class TestConfig:
-    def test_round_trip_byte_identical(self):
-        cfg = ExperimentConfig("ex", {"n": 5, "family": "k3"}, seed=7, outputs={"json": "r.json"})
-        text = cfg.to_json()
-        again = ExperimentConfig.from_json(text)
-        assert again == cfg
-        assert again.to_json() == text
+    def test_reads_a_config(self):
+        text = ('{"command": "ex", "params": {"n": 5, "family": "k3"}, "seed": 7, '
+                '"outputs": {"json": "r.json"}}')
+        assert ExperimentConfig.from_json(text) == ExperimentConfig(
+            "ex", {"n": 5, "family": "k3"}, seed=7, outputs={"json": "r.json"})
+        assert ExperimentConfig.from_json('{"command": "enum", "params": {}}') == (
+            ExperimentConfig("enum", {}, seed=0, outputs={}))
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(FormatError):
@@ -88,14 +89,9 @@ class TestConfig:
         with pytest.raises(FormatError):
             ExperimentConfig.from_json('{"params": {}}')
 
-    @pytest.mark.parametrize("seed", ["true", "false"])
-    def test_seed_must_be_a_json_integer(self, seed):
-        with pytest.raises(FormatError, match="seed=int"):
-            ExperimentConfig.from_json(f'{{"command": "ex", "params": {{}}, "seed": {seed}}}')
-
-    def test_digest_stable(self):
-        cfg = ExperimentConfig("ex", {"n": 5, "family": "k3"})
-        assert cfg.digest() == ExperimentConfig.from_json(cfg.to_json()).digest()
+    def test_outputs_must_be_an_object(self):
+        with pytest.raises(FormatError, match="outputs=object"):
+            ExperimentConfig.from_json('{"command": "ex", "params": {}, "outputs": []}')
 
 
 # every number param of every command, with the other params of a valid config
@@ -113,16 +109,27 @@ NUMBER_BASE = {
 
 class TestRun:
     def test_run_ex_and_reproduce(self, tmp_path):
+        out = tmp_path / "out.json"
         cfg = ExperimentConfig(
-            "ex", {"n": 5, "family": "k3", "method": "brute"}, outputs={"json": "out.json"}
+            "ex", {"n": 5, "family": "k3", "method": "brute"}, outputs={"json": str(out)}
         )
-        rec1 = run(cfg, tmp_path)
-        first = (tmp_path / "out.json").read_bytes()
-        rec2 = run(cfg, tmp_path)
-        assert (tmp_path / "out.json").read_bytes() == first
-        assert rec1.config_digest == rec2.config_digest
-        payload = json.loads(first)
-        assert payload["value"] == 6
+        rec = run(cfg)
+        first = out.read_bytes()
+        assert first == canonical_json(rec.outputs["payload"]).encode()
+        assert rec.outputs == {"payload": json.loads(first)}
+        run(cfg)
+        assert out.read_bytes() == first
+        assert rec.outputs["payload"]["value"] == 6
+
+    @pytest.mark.parametrize("seed", ["true", "false", "-1"])
+    def test_seed_must_be_a_json_integer(self, monkeypatch, seed):
+        calls = []
+        monkeypatch.setitem(_DISPATCH, "enum", lambda p, seed: calls.append(p) or {})
+        cfg = ExperimentConfig.from_json(
+            f'{{"command": "enum", "params": {{"n": 4, "r": 2}}, "seed": {seed}}}')
+        with pytest.raises(FormatError, match="seed"):
+            run(cfg)
+        assert calls == []
 
     def test_run_unknown_command(self):
         with pytest.raises(FormatError):
@@ -133,9 +140,10 @@ class TestRun:
         monkeypatch.setitem(_DISPATCH, "ex", lambda p, seed: calls.append(p) or {})
         cfg = ExperimentConfig("ex", {"n": 8, "family": "k3"}, outputs={"witnesses": "w"})
         with pytest.raises(FormatError, match="witnesses"):
-            run(cfg, tmp_path)
+            run(cfg)
         assert calls == []
-        run(ExperimentConfig("ex", {"n": 8, "family": "k3"}, outputs={"json": "r.json"}), tmp_path)
+        run(ExperimentConfig("ex", {"n": 8, "family": "k3"},
+                             outputs={"json": str(tmp_path / "r.json")}))
         assert len(calls) == 1
 
     def test_unknown_or_missing_params_refused_before_the_command_runs(self, monkeypatch):
@@ -404,6 +412,16 @@ class TestCli:
         for f in files:
             assert is_free(hgr.load(f), fam)
 
+    @pytest.mark.parametrize("n, parts", [(5, 2), (13, 3)])
+    def test_negative_seed_exit_2(self, runner, tmp_path, n, parts):
+        # 5 vertices enumerate supports and 13 run the seeded multistart ascent:
+        # both refuse the seed before any work
+        p = tmp_path / "g.hgr"
+        hgr.dump(cons.turan_graph(n, parts), p)
+        res = runner.invoke(main, ["--seed", "-1", "lagrangian", str(p)])
+        assert res.exit_code == 2
+        assert "seed" in res.output
+
     def test_determinism_fixed_seed(self, runner, tmp_path):
         p = tmp_path / "g.hgr"
         g, _ = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
@@ -499,5 +517,5 @@ class TestFrontDoor:
         res = runner.invoke(main, args + [str(tmp_path / "cli.json")])
         assert res.exit_code == 0, res.output
         seed = 3 if command == "lagrangian" else 0
-        run(ExperimentConfig(command, minimal, seed, {"json": "run.json"}), tmp_path)
+        run(ExperimentConfig(command, minimal, seed, {"json": str(tmp_path / "run.json")}))
         assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "run.json").read_bytes()

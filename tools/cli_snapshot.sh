@@ -206,3 +206,5 @@ fail extendable-bad-zeta extendable c5.hgr --v 0 --class bipartite --zeta 1/0 --
 fail ex-pmax-both ex --n 7 --family k4 --pmax 2
 # JSON booleans are not integers, though Python makes them ints
 fail make-json-bool make expansion bool3.json -o bool3-expansion.hgr
+# a negative seed is refused by every command, before any work
+fail seed-negative --seed -1 lagrangian c5.hgr
