@@ -8,13 +8,19 @@ bitmasks (so the edge order is colexicographic) and edge lists elementwise
 (the idea behind McKay and Piperno, "Practical graph isomorphism II", 2014).
 ``_search(h, colour)`` computes it exactly, level by level: level ``k``
 branches only on the vertices of the ``k``-th smallest colour and keeps every
-partial relabeling that attains the minimal prefix; vertices with identical
-links are interchangeable and only one representative per class is branched
-on, which keeps the frontier small even for highly symmetric graphs.
+partial relabeling that attains the minimal prefix.  Two vertices are twins
+when swapping them is an automorphism (``_twins``), which covers vertices
+with identical links and, in graphs, adjacent vertices with equal closed
+neighbourhoods.  Twinship is an equivalence, since
+``(u w) = (u v)(v w)(u v)``, and the search branches on one unassigned
+vertex per twin class only: swapping two unassigned twins fixes the assigned
+prefix, so their subtrees are equal.  This keeps the frontier small even for
+highly symmetric graphs, down to one labeling for a complete r-graph.
 Isomorphic graphs get equal certificates because the partition is invariant,
 and graphs with equal certificates are isomorphic because both are
-relabelings of one edge list.  Twins share a colour, since swapping them is
-an automorphism, so the twin pruning stays valid under the colouring.
+relabelings of one edge list.  Twins share a colour, since refinement is
+invariant under isomorphisms and the swap is one, so the twin pruning stays
+valid under the colouring.
 
 The final beam holds one minimal labeling per coset of the twin-class
 permutations, so it also yields the order of the automorphism group
@@ -62,7 +68,7 @@ from math import comb, factorial
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetError, Meter, SoundnessError
-from .rgraph import RGraph, VertexPartition, equivalence_classes, mask_of, mask_to_tuple
+from .rgraph import RGraph, VertexPartition, mask_of, mask_to_tuple
 
 CANONICAL_MAX_N = 10
 
@@ -139,6 +145,44 @@ def _refine(h: RGraph) -> list[int]:
         count = len(rank)
 
 
+def _twins(h: RGraph) -> VertexPartition:
+    """The twin classes of ``h``: ``u`` and ``v`` are twins when swapping
+    them is an automorphism, numbered by least vertex in increasing order.
+
+    The swap fixes the edges through both or neither, so it is an
+    automorphism exactly when ``u`` and ``v`` have the same link sets that
+    avoid the other one; equivalently, every set in just one of the two links
+    holds ``u`` or ``v``.  For graphs that reads ``adj[u] & ~bit(v) ==
+    adj[v] & ~bit(u)``, which takes in both adjacent twins (equal closed
+    neighbourhoods) and non-adjacent ones (equal links).  The relation is an
+    equivalence, since ``(u w) = (u v)(v w)(u v)``, so each vertex is tested
+    against one member of each class; twins have equal degrees."""
+    degrees = h.degrees
+    if h.r == 2:
+        adj = h.covered_adj
+
+        def swappable(u: int, v: int) -> bool:
+            return adj[u] & ~(1 << v) == adj[v] & ~(1 << u)
+    else:
+        links = h.link_masks
+
+        def swappable(u: int, v: int) -> bool:
+            both = (1 << u) | (1 << v)
+            return all(s & both for s in links[u] ^ links[v])
+
+    firsts: list[int] = []
+    assignment = []
+    for v in range(h.n):
+        for c, u in enumerate(firsts):
+            if degrees[u] == degrees[v] and swappable(u, v):
+                assignment.append(c)
+                break
+        else:
+            assignment.append(len(firsts))
+            firsts.append(v)
+    return VertexPartition(len(firsts), tuple(assignment))
+
+
 def _search(
     h: RGraph, colour: list[int]
 ) -> tuple[list[int], list[tuple[int, ...]], VertexPartition]:
@@ -146,11 +190,19 @@ def _search(
     label ``k`` to a vertex of colour ``sorted(colour)[k]``, the final beam of
     labelings that attain it (each lists the old vertices in new-label order,
     choosing only the least unassigned vertex of each twin class), and the
-    twin classes.  Twins must share a colour."""
+    twin classes of ``_twins``.
+
+    Twins are the vertices whose swap is an automorphism.  The relation is an
+    equivalence, since ``(u w) = (u v)(v w)(u v)``, so the twin classes
+    generate the product of their symmetric groups and the beam keeps one
+    labeling per coset of it.  Skipping a twin of a vertex already branched
+    on loses nothing: the swap fixes the assigned prefix, so both give the
+    same batch and the same subtree.  Twins must share a colour, which holds
+    for any colouring invariant under automorphisms, such as ``_refine``'s."""
     if h.n > CANONICAL_MAX_N:
         raise BudgetError(f"canonical_form supports n <= {CANONICAL_MAX_N}, got {h.n}")
     n = h.n
-    eq = equivalence_classes(h)
+    eq = _twins(h)
     class_of = eq.assignment
     edges_at: list[list[int]] = [[] for _ in range(n)]
     for m in h.edge_masks:
@@ -181,7 +233,7 @@ def _search(
                     continue
                 cu = class_of[u]
                 if (seen_classes >> cu) & 1:
-                    continue  # identical link: swapping u with the seen twin is an automorphism
+                    continue  # swapping u with the seen twin is an automorphism
                 seen_classes |= 1 << cu
                 now = assigned | (1 << u)
                 batch = []
@@ -368,7 +420,7 @@ def enumerate_rgraphs(
     # the certificates of the classes in the same order
     meter = Meter("link sets")
     empty = RGraph(r, 0, ())
-    reps = [(empty, [()], equivalence_classes(empty))]
+    reps = [(empty, [()], _twins(empty))]
     keys: list[tuple[int, ...]] = [()]
     for k in range(n):
         out: dict[tuple[int, ...], tuple[RGraph, list[tuple[int, ...]], VertexPartition]] = {}

@@ -367,18 +367,21 @@ def _exact(command: str, name: str, value: int | float | str) -> Fraction:
 def run(config: ExperimentConfig) -> ResultRecord:
     """Execute a config, write the payload if asked, and return it.
 
-    ``outputs`` maps logical names to paths.  The one name is ``json``, which
-    stores the canonical payload; any other name raises ``FormatError``, as
-    does a seed that is not a JSON integer of at least 0, a missing or unknown
-    name in ``params`` or a value of the wrong JSON type, before the command
-    runs.  Number params reach the command as ``Fraction``s (see ``_exact``).
-    The payload is the command's, with its name under ``command``.
+    ``outputs`` maps logical names to path strings.  The one name is
+    ``json``, which stores the canonical payload; any other name or a path
+    that is not a string raises ``FormatError``, as does a seed that is not
+    a JSON integer of at least 0, a missing or unknown name in ``params`` or
+    a value of the wrong JSON type, before the command runs.  Number params
+    reach the command as ``Fraction``s (see ``_exact``).  The payload is the
+    command's, with its name under ``command``.
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")
-    for name in config.outputs:
+    for name, path in config.outputs.items():
         if name != "json":
             raise FormatError(f"unknown output kind {name!r}")
+        if not isinstance(path, str):
+            raise FormatError(f"output {name!r} must be a path string, got {path!r}")
     if not hgr.is_json_int(config.seed) or config.seed < 0:
         raise FormatError(f"seed must be a JSON integer of at least 0, got {config.seed!r}")
     required, optional = _PARAMS[config.command]

@@ -12,6 +12,7 @@ from extremal.isomorphism import (
     _first_in_orbit,
     _refine,
     _search,
+    _twins,
     are_isomorphic,
     automorphism_generators,
     canonical_form,
@@ -26,7 +27,7 @@ from extremal.morphism import (
     single_graph,
     two_covered_free_patterns,
 )
-from extremal.rgraph import RGraph, is_two_covered, mask_of
+from extremal.rgraph import RGraph, blowup, equivalence_classes, is_two_covered, mask_of
 
 from conftest import cycle, random_rgraph
 
@@ -83,18 +84,26 @@ def test_k3_relabeled():
 
 
 def group_closure(n, gens):
+    """The group generated by ``gens``.  A generator that already lies in the
+    group found so far is skipped, so a list of every non-identity element
+    costs no more than a short one."""
     ident = tuple(range(n))
     seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = tuple(g[a[v]] for v in range(n))
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
+    used = []
+    for p in gens:
+        if p in seen:
+            continue
+        used.append(p)
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for g in used:
+                    c = tuple(g[a[v]] for v in range(n))
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.append(c)
+            frontier = nxt
     return seen
 
 
@@ -132,13 +141,13 @@ def test_budget(monkeypatch):
         canonical_form(RGraph(2, 11, ()))
     with pytest.raises(BudgetError, match="canonical forms on n <= 10, got 11"):
         enumerate_rgraphs(11, 2)
-    # the 11 graphs on 4 vertices take 146 link sets, the 34 on 5 take 1,346,
+    # the 11 graphs on 4 vertices take 113 link sets, the 34 on 5 take 728,
     # and each call counts its own
-    monkeypatch.setitem(errors.CAPS, "link sets", 146)
+    monkeypatch.setitem(errors.CAPS, "link sets", 113)
     assert len(enumerate_rgraphs(4, 2)) == len(enumerate_rgraphs(4, 2)) == 11
-    with pytest.raises(BudgetError, match="link sets past the cap of 146"):
+    with pytest.raises(BudgetError, match="link sets past the cap of 113"):
         enumerate_rgraphs(5, 2)
-    with pytest.raises(BudgetError, match="link sets past the cap of 146"):
+    with pytest.raises(BudgetError, match="link sets past the cap of 113"):
         enumerate_rgraphs(5, 3)
 
 
@@ -409,8 +418,64 @@ def test_refined_beam_gives_the_group(all_graphs_upto_7, all_3graphs_upto_6):
                 _, beam, eq = refined(g)
                 order = group_order(*lex_minimal(g)[1:])
                 assert group_order(beam, eq) == canonical_form(g).automorphisms == order
-                if g.n < 7:  # the closure over the graphs on 7 vertices takes about a minute
-                    assert_generates_automorphisms(g)
+                assert_generates_automorphisms(g)
+
+
+def test_twin_search_matches_the_identical_link_oracle(
+    monkeypatch, all_graphs_upto_7, all_3graphs_upto_6
+):
+    # the search once branched once per class of vertices with identical
+    # links; that search, with the same refinement, stays as the oracle of
+    # the coarser classes of automorphic transpositions
+    rng = random.Random(41)
+    graphs = []
+    for fixture in (all_graphs_upto_7, all_3graphs_upto_6):
+        for level in fixture.values():
+            for g in level:
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                graphs.append(relabel(g, perm))
+    forms = [canonical_form(h) for h in graphs]
+    groups = [group_closure(h.n, automorphism_generators(h)) for h in graphs]
+    monkeypatch.setattr(isomorphism, "_twins", equivalence_classes)
+    for h, form, group in zip(graphs, forms, groups):
+        assert canonical_form(h) == form
+        assert len(group) == form.automorphisms
+        assert group_closure(h.n, automorphism_generators(h)) == group
+
+
+def complement(h):
+    edges = set(h.edges)
+    return RGraph(h.r, h.n, tuple(e for e in itertools.combinations(range(h.n), h.r)
+                                  if e not in edges))
+
+
+def test_twins_are_the_swappable_pairs():
+    # blowups have non-adjacent twins and their complements adjacent ones
+    rng = random.Random(43)
+    for _ in range(300):
+        r = rng.choice([2, 3])
+        base = random_rgraph(rng, rng.randint(0, 5), r, rng.choice([0.2, 0.5, 0.8]))
+        h, _ = blowup(base, [rng.randint(1, 2) for _ in range(base.n)])
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        for g in (h, complement(h), relabel(h, perm), relabel(complement(h), perm)):
+            twin = _twins(g).assignment
+            # classes are numbered by least vertex in increasing order
+            assert list(dict.fromkeys(twin)) == list(range(len(set(twin))))
+            for u, v in itertools.combinations(range(g.n), 2):
+                swap = list(range(g.n))
+                swap[u], swap[v] = v, u
+                assert (twin[u] == twin[v]) == (relabel(g, swap).edges == g.edges)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_complete_graphs_end_the_search_with_one_labeling(r):
+    # every two vertices of a complete r-graph are twins, so one labeling
+    # is left; with identical-link classes all n! of them were kept
+    for n in range(r, 9):
+        _, beam, eq = refined(cons.complete_rgraph(n, r))
+        assert len(beam) == 1 and eq.class_count == 1
 
 
 def free_predicate(fam):

@@ -93,6 +93,16 @@ class TestConfig:
         with pytest.raises(FormatError, match="outputs=object"):
             ExperimentConfig.from_json('{"command": "ex", "params": {}, "outputs": []}')
 
+    def test_a_config_with_a_non_string_output_path_is_refused(self, monkeypatch):
+        # from_json checks only that outputs is an object; run refuses the path
+        calls = []
+        monkeypatch.setitem(_DISPATCH, "enum", lambda p, seed: calls.append(p) or {})
+        cfg = ExperimentConfig.from_json(
+            '{"command": "enum", "params": {"n": 4, "r": 2}, "outputs": {"json": 5}}')
+        with pytest.raises(FormatError, match="'json' must be a path string, got 5"):
+            run(cfg)
+        assert calls == []
+
 
 # every number param of every command, with the other params of a valid config
 NUMBER_PARAMS = sorted(
@@ -129,6 +139,15 @@ class TestRun:
             f'{{"command": "enum", "params": {{"n": 4, "r": 2}}, "seed": {seed}}}')
         with pytest.raises(FormatError, match="seed"):
             run(cfg)
+        assert calls == []
+
+    @pytest.mark.parametrize("path", [5, None, True, ["r.json"], {"to": "r.json"}],
+                             ids=["int", "null", "bool", "list", "object"])
+    def test_output_path_must_be_a_string(self, monkeypatch, path):
+        calls = []
+        monkeypatch.setitem(_DISPATCH, "enum", lambda p, seed: calls.append(p) or {})
+        with pytest.raises(FormatError, match="path string"):
+            run(ExperimentConfig("enum", {"n": 4, "r": 2}, outputs={"json": path}))
         assert calls == []
 
     def test_run_unknown_command(self):
