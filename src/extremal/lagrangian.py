@@ -13,6 +13,10 @@ in which every pair of vertices lies in an edge inside the support
 (Frankl–Rödl) and runs a projected-gradient ascent on each (certificate gap 0
 when every inner problem converged), beyond that it falls back to seeded
 multistart ascent and reports the complete-graph value as the remaining gap.
+An ascent that has not converged after ``DROP_AFTER`` steps drops its
+vanishing coordinates (weight below ``DROP_WEIGHT``, partial at most the mean)
+each step, so it reaches an optimum on a face instead of crawling towards it;
+ascents that stop sooner are untouched (see ``_ascent``).
 One call refuses past ``CAPS["support subsets"]`` or ``CAPS["ascent steps"]``.
 """
 
@@ -32,6 +36,8 @@ from .rgraph import RGraph, mask_to_tuple
 SIMPLEX_TOL = 1e-12
 ASCENT_TOL = 1e-10  # the ascent stops once its projected gradient is this short
 ASCENT_MAX_ITER = 10_000
+DROP_AFTER = 200  # steps; past them a stalled ascent drops its vanishing coordinates
+DROP_WEIGHT = 1e-2  # below 1/64, so a drop never empties the support
 SUPPORT_LIMIT = 12  # vertices; past it maximize runs multistart ascent instead
 
 
@@ -202,7 +208,20 @@ def semibipartite_residual(r: int, x: float) -> float:
 
 def _ascent(E: np.ndarray, x0: np.ndarray, meter: Meter) -> tuple[np.ndarray, float, bool]:
     """Projected-gradient ascent from ``x0``; its gradient steps tick ``meter``
-    once it stops."""
+    once it stops.
+
+    Face dropping: once more than ``DROP_AFTER`` steps have passed without
+    convergence, each step zeroes every free coordinate below ``DROP_WEIGHT``
+    whose partial is at most the mean ``mu`` on the free set, renormalizes and
+    goes on to the next step.  Without it an optimum on a face where such a
+    partial ties the mean is only crawled towards: on the 5-vertex 3-graph of
+    every triple through 0, plus 123, the full-support ascent runs to
+    ``ASCENT_MAX_ITER``.  The stopping test
+    is unchanged, so ``converged`` is still a first-order point of the whole
+    support, and a dropped coordinate whose partial exceeds the mean returns
+    through the projection.  The gate keeps every ascent that stops within
+    ``DROP_AFTER`` steps bit for bit as it was, and spares them the extra
+    array operations."""
     x = x0.copy()
     fx = _poly(E, x)
     converged = False
@@ -215,6 +234,13 @@ def _ascent(E: np.ndarray, x0: np.ndarray, meter: Meter) -> tuple[np.ndarray, fl
         if sqrt(resid @ resid) <= ASCENT_TOL:
             converged = True
             break
+        if steps > DROP_AFTER:
+            drop = free & (x < DROP_WEIGHT) & (g <= mu)
+            if drop.any():
+                x = np.where(drop, 0.0, x)
+                x /= x.sum()
+                fx = _poly(E, x)
+                continue
         t = 1.0
         moved = False
         while t > 1e-16:

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from extremal import constructions as cons
 from extremal import errors, lagrangian
 from extremal.errors import BudgetError, Meter
+from extremal.isomorphism import canonical_form
 from extremal.lagrangian import (
     SimplexPoint,
     _ascent,
@@ -141,6 +142,33 @@ def _loop_projection(v):
     return np.full(len(v), 1.0 / len(v))
 
 
+def _ascent_cases(all_graphs_upto_7, all_3graphs_upto_6):
+    """(graph or None, edge array, start) for every ascent that ``maximize``
+    runs on the graphs of TestPairCoveredSupports, then seeded Dirichlet
+    starts on random 2- and 3-graphs with 13-16 vertices (graph None)."""
+    graphs = [g for n in range(1, 7) for g in all_graphs_upto_7[n]]
+    graphs += [g for n in range(1, 6) for g in all_3graphs_upto_6[n]]
+    cases = []
+    real_ascent = lagrangian._ascent
+    g = None
+
+    def record(E, x0, meter):
+        cases.append((g, E, x0))
+        return real_ascent(E, x0, meter)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lagrangian, "_ascent", record)
+        for g in graphs:
+            maximize(g)
+    rng = random.Random(11)
+    gen = np.random.default_rng(11)
+    for m in range(13, 17):
+        for r in (2, 3):
+            E = np.array(random_rgraph(rng, m, r, 0.5).edges, dtype=np.intp)
+            cases.append((None, E, gen.dirichlet(np.ones(m))))
+    return cases
+
+
 class TestKernelBits:
     """The kernels return the same bits as the references they replaced, so
     multistart ascents (and their payloads) are unchanged by the rewrite."""
@@ -192,26 +220,7 @@ class TestKernelBits:
         bits: on every pair-covered support that ``maximize`` ascends for the
         graphs of TestPairCoveredSupports, and from seeded Dirichlet starts on
         random graphs with 13-16 vertices."""
-        cases = []
-        real_ascent = lagrangian._ascent
-
-        def record(E, x0, meter):
-            cases.append((E, x0))
-            return real_ascent(E, x0, meter)
-
-        graphs = [g for n in range(1, 7) for g in all_graphs_upto_7[n]]
-        graphs += [g for n in range(1, 6) for g in all_3graphs_upto_6[n]]
-        with monkeypatch.context() as patch:
-            patch.setattr(lagrangian, "_ascent", record)
-            for g in graphs:
-                maximize(g)
-        rng = random.Random(11)
-        gen = np.random.default_rng(11)
-        for m in range(13, 17):
-            for r in (2, 3):
-                E = np.array(random_rgraph(rng, m, r, 0.5).edges, dtype=np.intp)
-                cases.append((E, gen.dirichlet(np.ones(m))))
-
+        cases = [(E, x0) for _, E, x0 in _ascent_cases(all_graphs_upto_7, all_3graphs_upto_6)]
         expected = [_ascent(E, x0, Meter("ascent steps")) for E, x0 in cases]
         calls = 0
 
@@ -247,6 +256,11 @@ class TestProjection:
         # uniform point comes back in place of the projection (1, 0)
         p = project_to_simplex(np.array([1e17, 0.0]))
         assert p.tobytes() == np.array([0.5, 0.5]).tobytes()
+
+
+# every triple through vertex 0, plus 123: the one class of 3-graphs on 5
+# vertices whose full-support ascent ran to ASCENT_MAX_ITER before face dropping
+CAPPED = ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3))
 
 
 class TestMaximize:
@@ -304,13 +318,13 @@ class TestMaximize:
             maximize(cons.complete_graph(4))
 
     def test_ascent_steps_refused_past_the_budget(self, monkeypatch):
-        # the one ascent on the support {0..4} stops at ASCENT_MAX_ITER, and
-        # all ascents on this graph take 10,083 steps
-        g = RGraph(3, 5, ((0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4), (0, 3, 4),
-                          (1, 2, 3)))
-        assert not maximize(g).converged
-        monkeypatch.setitem(errors.CAPS, "ascent steps", 5_000)
-        with pytest.raises(BudgetError, match="ascent steps past the cap of 5000"):
+        # the ascent on the support {0..4} stalls towards the face x_4 = 0 and
+        # reaches it by face dropping; all ascents on this graph take 337 steps
+        g = RGraph(3, 5, CAPPED)
+        res = maximize(g)
+        assert res.converged and res.gap == 0.0
+        monkeypatch.setitem(errors.CAPS, "ascent steps", 300)
+        with pytest.raises(BudgetError, match="337 ascent steps past the cap of 300"):
             maximize(g)
 
     @pytest.mark.parametrize("restarts", [0, -5])
@@ -328,6 +342,39 @@ class TestMaximize:
         assert res.method == "multistart-ascent"
         assert res.value <= float(lambda_complete(13, 2))
         assert abs(res.value - 1 / 3) <= 1e-6  # blowup of K3 keeps its value
+
+
+def _reference_ascent(E, x0, meter):
+    """``_ascent`` as it was before face dropping, kept as the oracle: plain
+    projected gradient with a backtracking line search; its steps tick
+    ``meter``."""
+    x = x0.copy()
+    fx = _poly(E, x)
+    converged = False
+    for steps in range(1, lagrangian.ASCENT_MAX_ITER + 1):
+        g = _poly_grad(E, x)
+        free = x > 1e-14
+        gf = g[free]
+        mu = gf.sum() / gf.size if gf.size else 0.0
+        resid = np.where(free, g - mu, np.maximum(g - mu, 0.0))
+        if sqrt(resid @ resid) <= lagrangian.ASCENT_TOL:
+            converged = True
+            break
+        t = 1.0
+        moved = False
+        while t > 1e-16:
+            xn = project_to_simplex(x + t * g)
+            fn = _poly(E, xn)
+            if fn > fx and fn >= fx + 1e-4 * float(g @ (xn - x)):
+                x, fx = xn, fn
+                moved = True
+                break
+            t *= 0.5
+        if not moved:
+            converged = True
+            break
+    meter.tick(steps)
+    return x, fx, converged
 
 
 def _every_support_maximize(g):
@@ -351,7 +398,7 @@ def _every_support_maximize(g):
         if not inside:
             continue
         x0 = np.full(len(verts), 1.0 / len(verts))
-        x, fx, conv = _ascent(np.array(inside, dtype=np.intp), x0, Meter("ascent steps"))
+        x, fx, conv = _reference_ascent(np.array(inside, dtype=np.intp), x0, Meter("ascent steps"))
         converged = converged and conv
         if fx > best_val:
             best_val, best_x = fx, np.zeros(m)
@@ -373,21 +420,56 @@ def _clique_number(g):
 class TestPairCoveredSupports:
     def test_against_every_support(self, all_graphs_upto_7, all_3graphs_upto_6):
         """Ascending only the pair-covered supports gives what ascending every
-        support with an edge gives, on every class of 2-graphs with at most 6
-        vertices and of 3-graphs with at most 5; for 2-graphs that is the
-        Motzkin-Straus value (1 - 1/omega)/2."""
+        support with an edge by the reference ascent gives, on every class of
+        2-graphs with at most 6 vertices and of 3-graphs with at most 5; for
+        2-graphs that is the Motzkin-Straus value (1 - 1/omega)/2.  The
+        reference ascent converges everywhere but on the capped class, whose
+        optimum face dropping reaches exactly."""
         cases = [g for n in range(1, 7) for g in all_graphs_upto_7[n]]
         cases += [g for n in range(1, 6) for g in all_3graphs_upto_6[n]]
         assert len(cases) == (1 + 2 + 4 + 11 + 34 + 156) + (1 + 1 + 2 + 5 + 34)
+        unconverged = []
         for g in cases:
             res = maximize(g)
             value, converged, gap = _every_support_maximize(g)
             assert abs(res.value - value) <= 1e-12, g.edges
-            assert (res.converged, res.gap) == (converged, gap), g.edges
+            assert (res.converged, res.gap) == (True, 0.0), g.edges
             assert res.method == "support-enumeration"
+            if not converged:
+                unconverged.append(g)
             if g.r == 2:
                 motzkin_straus = (1 - 1 / _clique_number(g)) / 2
                 assert abs(res.value - motzkin_straus) <= 1e-12, g.edges
+        assert [canonical_form(g) for g in unconverged] == [canonical_form(RGraph(3, 5, CAPPED))]
+
+
+class TestFaceDropping:
+    def test_against_reference_ascent(self, all_graphs_upto_7, all_3graphs_upto_6):
+        """Every ascent that the reference stops within ``DROP_AFTER`` steps
+        gives the same bits with face dropping; the others the same value
+        within 1e-12 where the reference converged, and convergence no worse.
+        Over the ascents of TestPairCoveredSupports and the random Dirichlet
+        starts, only the full-support ascent of the capped class goes from
+        unconverged to converged."""
+        gated = mended = 0
+        for g, E, x0 in _ascent_cases(all_graphs_upto_7, all_3graphs_upto_6):
+            ref_meter, meter = Meter("ascent steps"), Meter("ascent steps")
+            x_ref, fx_ref, conv_ref = _reference_ascent(E, x0, ref_meter)
+            x, fx, conv = _ascent(E, x0, meter)
+            if ref_meter.count <= lagrangian.DROP_AFTER:
+                assert x.tobytes() == x_ref.tobytes(), E.tolist()
+                assert (fx, conv, meter.count) == (fx_ref, conv_ref, ref_meter.count), E.tolist()
+                gated += 1
+                continue
+            assert conv or not conv_ref, E.tolist()
+            if conv_ref:
+                assert abs(fx - fx_ref) <= 1e-12, E.tolist()
+                continue
+            # the capped reference stops 1.2e-12 below 1/16, which face dropping reaches
+            mended += 1
+            assert g is not None and canonical_form(g) == canonical_form(RGraph(3, 5, CAPPED))
+            assert fx_ref < fx and abs(fx - 1 / 16) <= 1e-14
+        assert mended == 1 and gated > 1000
 
 
 class TestLambdaComplete:

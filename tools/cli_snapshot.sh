@@ -11,10 +11,11 @@
 # tests/test_acceptance.py plus larger enumerations (3-graphs included),
 # Turan numbers by both routes and by each alone, degree scans (some where
 # the enumeration gates prune), vertex- and edge-deletion scans, both
-# symmetrization modes, the three Lagrangian routes, the semibipartite and
-# two-covered hull classes, and scans at a sharp threshold; the --help text of
-# the subcommands whose option defaults come from workbench._PARAMS; and calls
-# that must fail, with their stderr and exit code kept too.
+# symmetrization modes, the three Lagrangian routes and an ascent that
+# converges only by face dropping, the semibipartite and two-covered hull
+# classes, and scans at a sharp threshold; the --help text of the subcommands
+# whose option defaults come from workbench._PARAMS; and calls that must fail,
+# with their stderr and exit code kept too.
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUTDIR" >&2
@@ -154,6 +155,25 @@ run lag-turanr --seed 3 lagrangian t.hgr --format json --json lag-turanr.json
 run make-big3 make turanr 13 3 3 -o big3.hgr
 run lag-big3 --seed 5 lagrangian big3.hgr --restarts 16 --json lag-big3.json
 run lag-empty lagrangian empty14.hgr --restarts 4 --json lag-empty.json
+# every triple through vertex 0, plus 123: the full-support ascent stalls
+# towards the face x_4 = 0, and face dropping lets it converge there
+cat > capped.hgr <<'HGR'
+3 5 7
+0 1 2
+0 1 3
+0 1 4
+0 2 3
+0 2 4
+0 3 4
+1 2 3
+HGR
+run lag-capped lagrangian capped.hgr --json lag-capped.json
+python - lag-capped.json <<'PY'
+import json, sys
+p = json.load(open(sys.argv[1]))
+if not (p["converged"] and p["gap"] == 0):
+    sys.exit(f"lag-capped: expected a converged ascent with gap 0, got {p}")
+PY
 
 # the other hull classes of the paper: semibipartite (Hefetz-Keevash), with
 # weak expansions of a matching, and two-covered systems (Bene Watts-Norin-
