@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Exit codes: 0 ok, 2 parse/usage error, 3 budget exceeded, 4 counterexample
+Exit codes: 0 ok, 2 parse, usage or file error, 3 budget exceeded, 4 counterexample
 found under ``scan --expect-clean``.  All randomness hangs off the single
 ``--seed`` option, so equal invocations produce byte-identical outputs.
 """
@@ -28,7 +28,7 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (FormatError, FileNotFoundError, ValueError) as exc:
+        except (FormatError, OSError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
         except BudgetError as exc:

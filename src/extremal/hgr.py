@@ -15,12 +15,16 @@ and its ``ValueError`` reaches the caller as a ``FormatError``.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from typing import Any
 
 from .errors import FormatError
 from .rgraph import RGraph
+
+# texts whose graphs ``load`` keeps; graphs are immutable, so sharing one is safe
+LOAD_CACHE_SIZE = 256
 
 
 def dumps(h: RGraph) -> str:
@@ -92,10 +96,16 @@ def to_json_obj(h: RGraph) -> dict:
 
 
 def load(path: str | os.PathLike) -> RGraph:
+    """The graph in a file, read each time and parsed once per text: equal
+    texts give back the one ``RGraph`` (with the views cached on it), a
+    rewritten file is new text, and a malformed one raises on every load."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+        return _parse(fh.read())
+
+
+@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
+def _parse(text: str) -> RGraph:
+    if text.lstrip().startswith("{"):
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -5,9 +5,11 @@ are immutable values: operations return new graphs and never mutate inputs, so
 instances can be shared freely across threads.
 
 Edges are stored as sorted vertex tuples in lexicographic order (the on-disk
-and display order); bitmask views are cached on first use because the search
-heavy callers live on them, and enumeration carries them from a parent to
-its children (``RGraph._plus_vertex``).  The bitmask design caps ``n`` at 64,
+and display order); bitmask views and the equivalence partition are cached on
+first use because the search heavy callers live on them, and enumeration
+carries the views from a parent to its children (``RGraph._plus_vertex``).
+A graph never changes, so what is cached on it never goes stale, and it lives
+exactly as long as the graph.  The bitmask design caps ``n`` at 64,
 which is far beyond anything the enumeration budgets allow anyway.
 """
 
@@ -151,6 +153,23 @@ class RGraph:
                 rest ^= low
         return tuple(frozenset(s) for s in links)
 
+    @cached_property
+    def link_classes(self) -> "VertexPartition":
+        """The partition of ``equivalence_classes``, which reads it from here."""
+        seen: dict[frozenset[int], int] = {}
+        assignment = []
+        for key in self.link_masks:
+            if key not in seen:
+                seen[key] = len(seen)
+            assignment.append(seen[key])
+        return VertexPartition(len(seen), tuple(assignment))
+
+    @cached_property
+    def memo(self) -> dict:
+        """Facts that other modules derive from this graph, under their own
+        keys (``stability.in_hull`` keeps its verdicts here, one per class)."""
+        return {}
+
     def has_edge(self, vertices: Iterable[int]) -> bool:
         return mask_of(vertices) in self.edge_mask_set
 
@@ -215,16 +234,10 @@ def pair_covered(h: RGraph, u: int, v: int) -> bool:
 def equivalence_classes(h: RGraph) -> VertexPartition:
     """Partition vertices into maximal classes with identical links.
 
-    Classes are numbered by their least vertex, in increasing order.
+    Classes are numbered by their least vertex, in increasing order.  Worked
+    out once per graph and cached on it (``RGraph.link_classes``).
     """
-    seen: dict[frozenset[int], int] = {}
-    assignment = []
-    for v in range(h.n):
-        key = h.link_masks[v]
-        if key not in seen:
-            seen[key] = len(seen)
-        assignment.append(seen[key])
-    return VertexPartition(len(seen), tuple(assignment))
+    return h.link_classes
 
 
 def class_energy(h: RGraph) -> int:

@@ -235,9 +235,20 @@ def class_membership(h: RGraph, spec: ClassSpec) -> bool:
 
 
 def in_hull(h: RGraph, spec: ClassSpec) -> bool:
-    """Whether ``h`` is a subgraph of some member of the class."""
+    """Whether ``h`` is a subgraph of some member of the class.
+
+    Decided once per graph and class: the verdict is kept in ``h.memo`` under
+    ``spec``, so it lives as long as ``h`` and an equal graph built anew
+    decides it again."""
     if h.r != spec.r:
         raise ValueError(f"uniformity mismatch: graph r={h.r}, class r={spec.r}")
+    verdicts = h.memo
+    if spec not in verdicts:
+        verdicts[spec] = _decide_hull(h, spec)
+    return verdicts[spec]
+
+
+def _decide_hull(h: RGraph, spec: ClassSpec) -> bool:
     if spec.kind == COMPLETE_BLOWUPS:
         return krl_coloring(h, spec.parts) is not None
     if spec.kind == SEMIBIPARTITE:

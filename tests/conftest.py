@@ -44,6 +44,20 @@ def random_free_rgraph(rng: random.Random, n: int, fam: FamilySpec) -> RGraph:
     return RGraph(fam.r, n, tuple(edges))
 
 
+def identical_link_classes(h: RGraph) -> tuple[tuple[int, ...], ...]:
+    """Oracle for ``equivalence_classes``: vertices grouped by equal links,
+    each class from its least vertex and the classes in order of it."""
+    classes: list[list[int]] = []
+    for v in range(h.n):
+        for c in classes:
+            if h.link_masks[c[0]] == h.link_masks[v]:
+                c.append(v)
+                break
+        else:
+            classes.append([v])
+    return tuple(tuple(c) for c in classes)
+
+
 @pytest.fixture(scope="session")
 def all_graphs_upto_7():
     from extremal.isomorphism import enumerate_rgraphs

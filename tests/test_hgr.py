@@ -84,3 +84,52 @@ def test_json_mirror(tmp_path):
 def test_json_rejects(obj):
     with pytest.raises(FormatError):
         hgr.from_json_obj(obj)
+
+
+class TestLoadReuse:
+    """``load`` parses each text once: graphs are immutable, so one object
+    (with the views cached on it) can stand for every load of that text."""
+
+    def test_two_loads_of_one_text_give_one_graph(self, tmp_path):
+        p = tmp_path / "g.hgr"
+        hgr.dump(cons.turan_graph(7, 3), p)
+        first = hgr.load(p)
+        first.covered_adj
+        second = hgr.load(p)
+        assert second is first
+        assert "covered_adj" in second.__dict__  # the cached view comes along
+
+    def test_a_rewritten_file_gives_the_new_graph(self, tmp_path):
+        p = tmp_path / "g.hgr"
+        hgr.dump(cons.turan_graph(7, 3), p)
+        before = hgr.load(p)
+        hgr.dump(cons.complete_graph(4), p)
+        after = hgr.load(p)
+        assert after == cons.complete_graph(4) and before == cons.turan_graph(7, 3)
+
+    @pytest.mark.parametrize("text", ["2 3 2\n0 1\n0 1\n", '{"r": 2, "n": 3, "edges": [[0, 3]]}',
+                                      "{not json"])
+    def test_a_malformed_file_raises_on_every_load(self, tmp_path, text):
+        p = tmp_path / "bad.hgr"
+        p.write_text(text)
+        for _ in range(3):
+            with pytest.raises(FormatError):
+                hgr.load(p)
+
+    def test_the_json_mirror_is_reused(self, tmp_path):
+        p = tmp_path / "g.json"
+        p.write_text('{"r": 3, "n": 5, "edges": [[0, 1, 2], [0, 1, 3], [2, 3, 4]]}')
+        first = hgr.load(p)
+        assert hgr.load(p) is first and first == cons.gen_triangle(3)
+
+    def test_two_paths_with_equal_text_share_one_graph(self, tmp_path):
+        a, b = tmp_path / "a.hgr", tmp_path / "b.hgr"
+        hgr.dump(cons.turan_rgraph(6, 3, 3), a)
+        hgr.dump(cons.turan_rgraph(6, 3, 3), b)
+        assert hgr.load(a) is hgr.load(b)
+
+    def test_equal_graphs_in_other_text_are_parsed_apart(self, tmp_path):
+        a, b = tmp_path / "a.hgr", tmp_path / "b.hgr"
+        a.write_text("2 3 2\n0 1\n1 2\n")
+        b.write_text("2 3 2\n1 2\n0 1\n")
+        assert hgr.load(a) == hgr.load(b) and hgr.load(a) is not hgr.load(b)

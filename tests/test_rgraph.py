@@ -23,7 +23,7 @@ from extremal.rgraph import (
     shadow,
 )
 
-from conftest import cycle, path
+from conftest import cycle, identical_link_classes, path
 
 T3 = RGraph(3, 5, ((0, 1, 2), (0, 1, 3), (2, 3, 4)))
 
@@ -126,6 +126,21 @@ class TestEquivalence:
         reps = [c[0] for c in parts.classes]
         for u, v in itertools.combinations(reps, 2):
             assert h.link_masks[u] != h.link_masks[v]
+
+    def test_cached_partition_of_plus_vertex_children(self, all_graphs_upto_7,
+                                                      all_3graphs_upto_6):
+        # every child of a graph on at most 6 vertices (3-graphs: 5), after
+        # its parent's partition is cached, so a child that took it would show
+        for r, parents, top in ((2, all_graphs_upto_7, 6), (3, all_3graphs_upto_6, 5)):
+            for base in (g for n in range(1, top + 1) for g in parents[n]):
+                assert equivalence_classes(base).classes == identical_link_classes(base)
+                pool = [c + (base.n,) for c in itertools.combinations(range(base.n), r - 1)]
+                for k in range(len(pool) + 1):
+                    for new in itertools.combinations(pool, k):
+                        child = base._plus_vertex(new, tuple(sum(1 << v for v in e) for e in new))
+                        parts = equivalence_classes(child)
+                        assert parts.classes == identical_link_classes(child), child.edges
+                        assert equivalence_classes(child) is parts
 
 
 class TestClassEnergy:

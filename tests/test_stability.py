@@ -184,6 +184,51 @@ class TestHull:
         assert class_membership(cons.turan_graph(6, 2), BIPARTITE)
 
 
+# the classes whose verdicts the memo of in_hull is checked on, by uniformity
+MEMO_SPECS = {
+    2: (complete_blowups(2, 2), complete_blowups(2, 3)),
+    3: (complete_blowups(3, 3), semibipartite_class(3), two_covered_systems(3)),
+}
+
+
+class TestHullMemo:
+    """``in_hull`` keeps one verdict per graph and class on the graph; a copy
+    built with ``RGraph`` has an empty memo and decides afresh."""
+
+    @pytest.fixture
+    def small_graphs(self, all_graphs_upto_7, all_3graphs_upto_6):
+        return {2: [g for gs in all_graphs_upto_7.values() for g in gs],
+                3: [g for gs in all_3graphs_upto_6.values() for g in gs]}
+
+    def test_memo_against_a_fresh_copy(self, small_graphs):
+        # every class is decided on every graph before any verdict is read
+        # back, so a verdict filed under the wrong class would show
+        for r, specs in MEMO_SPECS.items():
+            memoized = [[in_hull(h, spec) for spec in specs] for h in small_graphs[r]]
+            for h, verdicts in zip(small_graphs[r], memoized):
+                assert [h.memo[spec] for spec in specs] == verdicts
+                assert [in_hull(h, spec) for spec in specs] == verdicts
+                fresh = [in_hull(RGraph(h.r, h.n, h.edges), spec) for spec in specs]
+                assert fresh == verdicts, h.edges
+
+    def test_hull_is_hereditary(self, small_graphs):
+        # in_hull(H) implies in_hull(H - v) for every v
+        for r, specs in MEMO_SPECS.items():
+            for spec in specs:
+                inside = [h for h in small_graphs[r] if in_hull(h, spec)]
+                assert inside and len(inside) < len(small_graphs[r])
+                for h in inside:
+                    for v in range(h.n):
+                        assert in_hull(delete_vertices(h, (v,))[0], spec), (spec.label, h.edges, v)
+
+    def test_the_memo_lives_on_the_graph(self):
+        h = cycle(5)
+        assert not in_hull(h, BIPARTITE) and h.memo == {BIPARTITE: False}
+        assert in_hull(h, complete_blowups(2, 3))
+        assert h.memo == {BIPARTITE: False, complete_blowups(2, 3): True}
+        assert cycle(5).memo == {}
+
+
 class TestExtendability:
     def test_k33_witness_ok(self):
         v = check_vertex_extendable(cons.turan_graph(6, 2), 0, BIPARTITE, 0.2, 0.5)

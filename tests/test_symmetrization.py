@@ -24,7 +24,7 @@ from extremal.rgraph import (
 )
 from extremal.symmetrization import _step, ex, ex_bruteforce, ex_via_patterns, symmetrize
 
-from conftest import cycle, random_free_rgraph
+from conftest import cycle, identical_link_classes, random_free_rgraph
 
 K3FAM = single_graph(cons.complete_graph(3))
 K4FAM = single_graph(cons.complete_graph(4))
@@ -60,6 +60,22 @@ class TestSteps:
         _, _, out = _step(h, K3FAM, "vertex")
         if len(out.edges) == len(h.edges):
             assert class_energy(out) - class_energy(h) >= 2
+
+    @pytest.mark.parametrize("mode", ["class", "vertex"])
+    def test_cached_partition_of_every_step_graph(self, mode, all_graphs_upto_7,
+                                                  all_3graphs_upto_6):
+        # _step caches each graph's partition while it picks the pair; the
+        # cached one must be the identical-link partition of that graph
+        steps = 0
+        for fam, graphs in ((K3FAM, all_graphs_upto_7), (SIGMA3, all_3graphs_upto_6)):
+            for h in (g for gs in graphs.values() for g in gs if is_free(g, fam)):
+                cur = h
+                while (step := _step(cur, fam, mode)) is not None:
+                    assert equivalence_classes(cur).classes == identical_link_classes(cur)
+                    cur = step[2]
+                    steps += 1
+                assert equivalence_classes(cur).classes == identical_link_classes(cur)
+        assert steps > 100
 
 
 class TestSymmetrize:

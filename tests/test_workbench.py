@@ -311,6 +311,24 @@ class TestCli:
         res = runner.invoke(main, ["lagrangian", str(p)])
         assert res.exit_code == 2
 
+    def test_a_file_error_exits_2(self, runner, tmp_path, monkeypatch):
+        # a directory read or written as a file, and a file that cannot be read
+        p = tmp_path / "c5.hgr"
+        p.write_text("2 5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n")
+        for args in (["check", str(tmp_path), "--class", "bipartite"],
+                     ["check", str(p), "--class", "bipartite", "--json", str(tmp_path)]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2, res.output
+            assert res.output == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(hgr, "load", unreadable)
+        res = runner.invoke(main, ["check", str(p), "--class", "bipartite"])
+        assert res.exit_code == 2
+        assert res.output == f"error: [Errno 13] Permission denied: {str(p)!r}\n"
+
     def test_budget_exit_3(self, runner, monkeypatch):
         # at the default cap this call refuses after about 3 s of work
         monkeypatch.setitem(errors.CAPS, "link sets", 1000)

@@ -210,7 +210,7 @@ for cmd in ex lagrangian symmetrize scan; do
   run "help-$cmd" "$cmd" --help
 done
 
-# refusals: budget (3), usage (2) and a counterexample under --expect-clean (4)
+# refusals: budget (3), usage or file (2) and a counterexample under --expect-clean (4)
 fail enum-budget enum --n 9 --r 3
 fail scan-empty-range scan --family k3 --class bipartite --n 9..5 --eps 0.1 --expect-clean
 fail scan-k4-dirty scan --family k4 --class bipartite --kind degree --n 5..5 --eps 0.5 \
@@ -228,3 +228,6 @@ fail ex-pmax-both ex --n 7 --family k4 --pmax 2
 fail make-json-bool make expansion bool3.json -o bool3-expansion.hgr
 # a negative seed is refused by every command, before any work
 fail seed-negative --seed -1 lagrangian c5.hgr
+# a directory where a file should be is a file error (2), read or written
+fail check-dir-input check . --class bipartite
+fail check-dir-json check c5.hgr --class bipartite --json .
