@@ -23,9 +23,6 @@ from typing import Any
 from .errors import FormatError
 from .rgraph import RGraph
 
-# texts whose graphs ``load`` keeps; graphs are immutable, so sharing one is safe
-LOAD_CACHE_SIZE = 256
-
 
 def dumps(h: RGraph) -> str:
     lines = [f"{h.r} {h.n} {len(h.edges)}"]
@@ -103,7 +100,11 @@ def load(path: str | os.PathLike) -> RGraph:
         return _parse(fh.read())
 
 
-@functools.lru_cache(maxsize=LOAD_CACHE_SIZE)
+# One text is kept: a program that loads one file again (``check``,
+# ``symmetrize`` and ``extendable`` for each vertex of one graph, run through
+# ``workbench.run``) does so back to back, with no other text in between.
+# Graphs are immutable, so sharing one is safe.
+@functools.lru_cache(maxsize=1)
 def _parse(text: str) -> RGraph:
     if text.lstrip().startswith("{"):
         try:

@@ -154,20 +154,10 @@ class RGraph:
         return tuple(frozenset(s) for s in links)
 
     @cached_property
-    def link_classes(self) -> "VertexPartition":
-        """The partition of ``equivalence_classes``, which reads it from here."""
-        seen: dict[frozenset[int], int] = {}
-        assignment = []
-        for key in self.link_masks:
-            if key not in seen:
-                seen[key] = len(seen)
-            assignment.append(seen[key])
-        return VertexPartition(len(seen), tuple(assignment))
-
-    @cached_property
     def memo(self) -> dict:
-        """Facts that other modules derive from this graph, under their own
-        keys (``stability.in_hull`` keeps its verdicts here, one per class)."""
+        """What is derived from this graph and kept on it: its equivalence
+        partition (``equivalence_classes``) and the hull verdicts of
+        ``stability.in_hull``, one per class."""
         return {}
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
@@ -235,9 +225,18 @@ def equivalence_classes(h: RGraph) -> VertexPartition:
     """Partition vertices into maximal classes with identical links.
 
     Classes are numbered by their least vertex, in increasing order.  Worked
-    out once per graph and cached on it (``RGraph.link_classes``).
+    out once per graph and kept in ``h.memo``.
     """
-    return h.link_classes
+    parts = h.memo.get("equivalence_classes")
+    if parts is None:
+        seen: dict[frozenset[int], int] = {}
+        assignment = []
+        for key in h.link_masks:
+            if key not in seen:
+                seen[key] = len(seen)
+            assignment.append(seen[key])
+        parts = h.memo["equivalence_classes"] = VertexPartition(len(seen), tuple(assignment))
+    return parts
 
 
 def class_energy(h: RGraph) -> int:
