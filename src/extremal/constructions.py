@@ -32,7 +32,7 @@ def turan_rgraph(n: int, parts: int, r: int) -> RGraph:
     per part, so it is the balanced blowup of the complete r-graph on the parts."""
     if parts < r:
         raise ValueError(f"need parts >= r, got parts={parts}, r={r}")
-    return blowup(complete_rgraph(parts, r), balanced_sizes(n, parts))[0]
+    return blowup(complete_rgraph(parts, r), balanced_sizes(n, parts))
 
 
 def complete_rgraph(vertices: int, r: int) -> RGraph:

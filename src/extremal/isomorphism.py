@@ -23,8 +23,8 @@ invariant under isomorphisms and the swap is one, so the twin pruning stays
 valid under the colouring.
 
 The final beam holds one minimal labeling per coset of the twin-class
-permutations, so it also yields the order of the automorphism group
-(``canonical_form``) and generators of it (``automorphism_generators``).
+permutations, so it also yields generators of the automorphism group
+(``automorphism_generators``).
 
 Enumeration grows graphs one vertex at a time by canonical augmentation
 (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), with
@@ -50,7 +50,7 @@ told which edge was just added, so that it can check only what that edge
 could have created.
 
 Output contract: every graph that leaves enumeration, and every
-``canonical_relabel``, is in its certificate labeling, and enumeration lists
+``canonical_form``, is in its certificate labeling, and enumeration lists
 the classes in certificate order.  So output bytes depend only on the set of
 classes, not on which representative a search happened to build first.
 
@@ -63,34 +63,13 @@ children it builds plus the orbit images its link search forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 from typing import Callable, Iterable, Optional
 
 from .errors import BudgetError, Meter, SoundnessError
 from .rgraph import RGraph, VertexPartition, mask_of, mask_to_tuple
 
 CANONICAL_MAX_N = 10
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Isomorphism-class certificate: the edges of the certificate labeling,
-    sorted as ``RGraph`` sorts them.
-
-    Two graphs have equal canonical forms iff they are isomorphic (with equal
-    ``r`` and ``n``).  ``automorphisms`` is the order of the automorphism
-    group, recovered from the search frontier at no extra cost.
-    """
-
-    r: int
-    n: int
-    edges: tuple[tuple[int, ...], ...]
-    automorphisms: int
-
-    @property
-    def key(self) -> tuple:
-        return (self.r, self.n, self.edges)
 
 
 # Appended to every batch before native tuple comparison: makes a proper
@@ -260,13 +239,13 @@ def _search(
     return prefix, [pos for pos, _ in beam], eq
 
 
-def canonical_form(h: RGraph) -> CanonicalForm:
-    prefix, beam, eq = _search(h, _refine(h))
-    aut = len(beam)
-    for c in eq.classes:
-        aut *= factorial(len(c))
-    edges = tuple(sorted(mask_to_tuple(m) for m in prefix))
-    return CanonicalForm(h.r, h.n, edges, aut)
+def canonical_form(h: RGraph) -> RGraph:
+    """``h`` in its certificate labeling.  Two graphs give the same graph iff
+    they are isomorphic (with equal ``r`` and ``n``), and
+    ``enumerate_rgraphs`` returns only fixed points of ``canonical_form``, so
+    enumeration output, ``ex`` witnesses and scan counterexamples share one
+    labeling."""
+    return RGraph.from_masks(h.r, h.n, _search(h, _refine(h))[0])
 
 
 def automorphism_generators(h: RGraph) -> list[tuple[int, ...]]:
@@ -275,10 +254,10 @@ def automorphism_generators(h: RGraph) -> list[tuple[int, ...]]:
 
     Two beam labelings with the same minimal edge list differ by an
     automorphism, and the beam holds one labeling per coset of the twin-class
-    permutations (hence ``automorphisms = len(beam) * prod(|class|!)``).  So
-    the maps from the first labeling to each other one, together with the
-    transpositions of consecutive twins, generate the group.  None of them is
-    the identity, so the list is empty exactly when the group is trivial.
+    permutations.  So the maps from the first labeling to each other one,
+    together with the transpositions of consecutive twins, generate the
+    group.  None of them is the identity, so the list is empty exactly when
+    the group is trivial.
     """
     _, beam, eq = _search(h, _refine(h))
     return _generators(h.n, beam, eq)
@@ -299,26 +278,12 @@ def _generators(n: int, beam: list[tuple[int, ...]], eq: VertexPartition) -> lis
     return gens
 
 
-def canonical_relabel(h: RGraph) -> RGraph:
-    """``h`` in its certificate labeling, with the edges of
-    ``canonical_form(h)``.  Isomorphic graphs give the same graph, and
-    ``enumerate_rgraphs`` returns only such fixed points, so enumeration
-    output, ``ex`` witnesses and scan counterexamples share one labeling."""
-    return RGraph(h.r, h.n, canonical_form(h).edges)
-
-
 def relabel(h: RGraph, perm: Iterable[int]) -> RGraph:
     """Apply a vertex permutation (old label -> new label)."""
     p = tuple(perm)
     if sorted(p) != list(range(h.n)):
         raise ValueError("perm must be a permutation of 0..n-1")
     return RGraph(h.r, h.n, tuple(tuple(p[v] for v in e) for e in h.edges))
-
-
-def are_isomorphic(a: RGraph, b: RGraph) -> bool:
-    if a.r != b.r or a.n != b.n or len(a.edges) != len(b.edges):
-        return False
-    return canonical_form(a).key == canonical_form(b).key
 
 
 def enumerate_rgraphs(
@@ -335,7 +300,7 @@ def enumerate_rgraphs(
     edges.
 
     Each class is returned in its certificate labeling (a fixed point of
-    ``canonical_relabel``), and the list is in increasing certificate order.
+    ``canonical_form``), and the list is in increasing certificate order.
     Past ``CAPS["link sets"]`` children and orbit images, or past
     ``CANONICAL_MAX_N`` vertices, the call raises ``BudgetError``.
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, inf, isfinite, prod, sqrt
 from typing import Sequence
 
@@ -73,7 +72,6 @@ def _is_exact(seq) -> bool:
     return all(isinstance(w, (int, Fraction)) for w in seq)
 
 
-@lru_cache(maxsize=4096)
 def _edge_array(g: RGraph) -> np.ndarray:
     return np.array(g.edges, dtype=np.intp).reshape(len(g.edges), g.r)
 
@@ -295,14 +293,15 @@ def maximize(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     meter = Meter("ascent steps")
     edges = [(mk, mask_to_tuple(mk)) for mk in g.edge_masks]
+    E = _edge_array(g)
 
     best_x = np.full(m, 1.0 / m)
-    best_val = float(evaluate(g, best_x))
+    best_val = _poly(E, best_x)
     all_converged = True
     for v in range(m):
         unit = np.zeros(m)
         unit[v] = 1.0
-        uv = float(evaluate(g, unit))
+        uv = _poly(E, unit)
         if uv > best_val:
             best_val, best_x = uv, unit
 
@@ -323,9 +322,9 @@ def maximize(
                 continue
             pos = {v: i for i, v in enumerate(verts)}
             k = len(verts)
-            E = np.array([[pos[v] for v in vs] for _, vs in inside], dtype=np.intp)
+            E_sub = np.array([[pos[v] for v in vs] for _, vs in inside], dtype=np.intp)
             x0 = np.full(k, 1.0 / k)
-            x, fx, conv = _ascent(E, x0, meter)
+            x, fx, conv = _ascent(E_sub, x0, meter)
             all_converged = all_converged and conv
             if fx > best_val:
                 full = np.zeros(m)
@@ -335,7 +334,6 @@ def maximize(
     else:
         method = "multistart-ascent"
         rng = np.random.default_rng(seed)
-        E = _edge_array(g)
         for _ in range(restarts):
             x0 = rng.dirichlet(np.ones(m))
             x, fx, conv = _ascent(E, x0, meter)
@@ -346,5 +344,6 @@ def maximize(
 
     best_x = project_to_simplex(best_x)
     point = SimplexPoint(tuple(float(t) for t in best_x))
-    return LagrangianResult(float(evaluate(g, point)), point, method, gap, all_converged)
+    value = _poly(E, np.asarray(point.weights, dtype=float))
+    return LagrangianResult(value, point, method, gap, all_converged)
 

@@ -344,14 +344,23 @@ def two_covered_free_patterns(fam: FamilySpec, p_max: int) -> tuple[RGraph, ...]
 
 def _support(g: RGraph) -> RGraph:
     used = sorted({v for e in g.edges for v in e})
-    return induced(g, used)[0]
+    return induced(g, used)
+
+
+def _one_per_class(graphs: list[RGraph]) -> tuple[RGraph, ...]:
+    """The first of ``graphs`` in each isomorphism class, ordered by the
+    vertex count and edge list of the class's ``canonical_form``."""
+    out: dict[RGraph, RGraph] = {}
+    for g in graphs:
+        out.setdefault(canonical_form(g), g)
+    return tuple(out[c] for c in sorted(out, key=lambda c: (c.n, c.edges)))
 
 
 def _triple_members(r: int, require_tight: bool) -> tuple[RGraph, ...]:
     """All 3-edge members on their supports, up to isomorphism.  Members live
     on at most 2r-1 vertices, so a fixed universe suffices."""
     universe = list(itertools.combinations(range(2 * r - 1), r))
-    out: dict[tuple, RGraph] = {}
+    found = []
     for b, c in itertools.combinations(universe, 2):
         inter = len(set(b) & set(c))
         if require_tight and inter != r - 1:
@@ -362,11 +371,8 @@ def _triple_members(r: int, require_tight: bool) -> tuple[RGraph, ...]:
         for a in universe:
             if a == b or a == c or not diff <= set(a):
                 continue
-            g = _support(RGraph(r, 2 * r - 1, (a, b, c)))
-            key = canonical_form(g).key
-            if key not in out:
-                out[key] = g
-    return tuple(out[k] for k in sorted(out))
+            found.append(_support(RGraph(r, 2 * r - 1, (a, b, c))))
+    return _one_per_class(found)
 
 
 def _weak_expansion_members(base: RGraph) -> tuple[RGraph, ...]:
@@ -376,7 +382,7 @@ def _weak_expansion_members(base: RGraph) -> tuple[RGraph, ...]:
     if total_n > 64:
         raise BudgetError("weak-expansion member universe exceeds 64 vertices")
     Meter("expansion members").tick(comb(total_n - 2, extra) ** len(pairs))
-    out: dict[tuple, RGraph] = {}
+    found = []
     slots = list(range(total_n))
     per_pair = []
     for u, v in pairs:
@@ -387,11 +393,8 @@ def _weak_expansion_members(base: RGraph) -> tuple[RGraph, ...]:
             edges.append(tuple(sorted((u, v) + extra_vs)))
         if len(set(edges)) != len(edges):
             continue
-        g = _support(RGraph(base.r, total_n, tuple(edges)))
-        key = canonical_form(g).key
-        if key not in out:
-            out[key] = g
-    return tuple(out[k] for k in sorted(out))
+        found.append(_support(RGraph(base.r, total_n, tuple(edges))))
+    return _one_per_class(found)
 
 
 def family_members(fam: FamilySpec) -> tuple[RGraph, ...]:
@@ -448,8 +451,6 @@ def hom_image_closed(fam: FamilySpec) -> bool:
 
 @dataclass(frozen=True)
 class BlowupInvarianceReport:
-    family: FamilySpec
-    n_max: int
     invariant: bool
     counterexample: Optional[tuple[RGraph, RGraph, dict]] = field(default=None, compare=False)
     hom_image_closed: Optional[bool] = None
@@ -466,5 +467,5 @@ def check_blowup_invariance(fam: FamilySpec, n_max: int) -> BlowupInvarianceRepo
             for f in members:
                 phi = has_homomorphism(f, h)
                 if phi is not None:
-                    return BlowupInvarianceReport(fam, n_max, False, (h, f, phi), closed)
-    return BlowupInvarianceReport(fam, n_max, True, None, closed)
+                    return BlowupInvarianceReport(False, (h, f, phi), closed)
+    return BlowupInvarianceReport(True, None, closed)

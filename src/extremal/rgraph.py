@@ -259,12 +259,13 @@ def is_symmetrized(h: RGraph) -> bool:
     return True
 
 
-def blowup(g: RGraph, sizes: Iterable[int]) -> tuple[RGraph, VertexPartition]:
-    """Replace vertex ``i`` of ``g`` by a class of ``sizes[i]`` fresh vertices.
+def blowup(g: RGraph, sizes: Iterable[int]) -> RGraph:
+    """Replace vertex ``i`` of ``g`` by a class of ``sizes[i]`` fresh vertices,
+    the classes in order of ``i`` on consecutive labels.
 
     Every edge becomes the complete r-partite pattern across its classes, so
     the result has exactly ``sum over edges of prod(sizes[i] for i in edge)``
-    edges.  Returns the blown-up graph and the class partition.
+    edges.
     """
     sz = tuple(sizes)
     if len(sz) != g.n:
@@ -281,10 +282,7 @@ def blowup(g: RGraph, sizes: Iterable[int]) -> tuple[RGraph, VertexPartition]:
     for e in g.edges:
         for combo in itertools.product(*(ranges[i] for i in e)):
             edges.append(combo)
-    assignment = []
-    for i in range(g.n):
-        assignment.extend([i] * sz[i])
-    return RGraph(g.r, total, tuple(edges)), VertexPartition(g.n, tuple(assignment))
+    return RGraph(g.r, total, tuple(edges))
 
 
 def is_two_covered(h: RGraph) -> bool:
@@ -305,11 +303,9 @@ def is_design_system(h: RGraph, ell: int) -> bool:
     return True
 
 
-def delete_vertices(h: RGraph, drop: Iterable[int]) -> tuple[RGraph, dict[int, int]]:
-    """Remove vertices, relabel the rest to a contiguous range.
-
-    Returns the new graph and the old-to-new relabeling map.
-    """
+def delete_vertices(h: RGraph, drop: Iterable[int]) -> RGraph:
+    """Remove vertices and relabel the rest to a contiguous range, keeping
+    their order."""
     drop_set = set(drop)
     for v in drop_set:
         if not 0 <= v < h.n:
@@ -317,10 +313,10 @@ def delete_vertices(h: RGraph, drop: Iterable[int]) -> tuple[RGraph, dict[int, i
     keep = [v for v in range(h.n) if v not in drop_set]
     relabel = {old: new for new, old in enumerate(keep)}
     edges = tuple(tuple(relabel[v] for v in e) for e in h.edges if drop_set.isdisjoint(e))
-    return RGraph(h.r, len(keep), edges), relabel
+    return RGraph(h.r, len(keep), edges)
 
 
-def induced(h: RGraph, keep: Iterable[int]) -> tuple[RGraph, dict[int, int]]:
+def induced(h: RGraph, keep: Iterable[int]) -> RGraph:
     """The subgraph induced on ``keep``, relabeled to ``0..len(keep)-1``."""
     keep_set = set(keep)
     return delete_vertices(h, (v for v in range(h.n) if v not in keep_set))

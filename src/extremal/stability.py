@@ -299,7 +299,7 @@ def check_vertex_extendable(
     so ``Fraction`` inputs give an exact strict comparison."""
     thr = _strict_threshold(pi_ref, zeta, h.n, h.r - 1)
     degree_ok = h.min_degree() > thr
-    base, _ = delete_vertices(h, (v,))
+    base = delete_vertices(h, (v,))
     base_ok = in_hull(base, spec)
     self_ok = in_hull(h, spec)
     if not (degree_ok and base_ok):
@@ -417,7 +417,7 @@ def vertex_deletion_distance(h: RGraph, spec: ClassSpec) -> int:
     deleted set is checked with ``in_hull``; a failure raises
     ``SoundnessError``."""
     value, _, deleted = _least_deletions(h, spec, True, float("inf"))
-    if not in_hull(delete_vertices(h, deleted)[0], spec):
+    if not in_hull(delete_vertices(h, deleted), spec):
         raise SoundnessError(f"deleting {deleted} from {h!r} leaves it outside {spec.label}")
     return value
 
@@ -457,7 +457,6 @@ class StabilityVerdict:
     n_range: tuple[int, int]
     eps: float | Fraction
     delta: float | Fraction
-    pi_ref: float | Fraction
     scanned: int
     counterexamples: tuple[CounterexampleRecord, ...]
     max_distance: int
@@ -502,13 +501,16 @@ def scan_stability(
     delta * |edges|.
 
     An empty range (``n_lo > n_hi``) raises ``ValueError``: it would scan
-    nothing and report clean.
+    nothing and report clean.  So does a family whose uniformity is not the
+    class's, before any graph is enumerated.
     """
     if kind not in ("degree", "vertex", "edge"):
         raise ValueError("kind must be degree|vertex|edge")
     lo, hi = n_range
     if lo > hi:
         raise ValueError(f"empty vertex range {lo}..{hi}: nothing to scan")
+    if fam.r != spec.r:
+        raise ValueError(f"uniformity mismatch: family r={fam.r}, class r={spec.r}")
     r = fam.r
     scanned = 0
     counterexamples: list[CounterexampleRecord] = []
@@ -556,7 +558,6 @@ def scan_stability(
         (lo, hi),
         eps,
         delta,
-        pi_ref,
         scanned,
         tuple(counterexamples),
         max_distance,

@@ -20,8 +20,7 @@ from math import comb
 from typing import Iterable, Optional
 
 from .errors import Meter, SoundnessError
-# canonical_form is unused here; perfbench/tests checks that its tracer rebinds it
-from .isomorphism import CANONICAL_MAX_N, canonical_form, canonical_relabel
+from .isomorphism import CANONICAL_MAX_N, canonical_form
 from .morphism import FamilySpec, free_representatives, is_free, two_covered_free_patterns
 from .rgraph import (
     RGraph,
@@ -57,8 +56,6 @@ class SymTrace:
 
 @dataclass(frozen=True)
 class ExResult:
-    n: int
-    family: FamilySpec
     value: int
     witnesses: tuple[RGraph, ...]
     method: str  # "bruteforce" | "patterns" | "both-agree"
@@ -177,13 +174,13 @@ def symmetrize(h: RGraph, fam: FamilySpec, mode: str = CLASS_MODE) -> SymTrace:
 def ex_bruteforce(n: int, fam: FamilySpec) -> ExResult:
     """Exact maximum edge count over all family-free graphs on n vertices,
     with every extremal graph retained up to isomorphism."""
-    return _most_edges(n, fam, free_representatives(n, fam))
+    return _most_edges(free_representatives(n, fam))
 
 
-def _most_edges(n: int, fam: FamilySpec, reps: tuple[RGraph, ...]) -> ExResult:
+def _most_edges(reps: tuple[RGraph, ...]) -> ExResult:
     value = max(len(g.edges) for g in reps)
     witnesses = tuple(g for g in reps if len(g.edges) == value)
-    return ExResult(n, fam, value, witnesses, "bruteforce")
+    return ExResult(value, witnesses, "bruteforce")
 
 
 def _compositions(total: int, parts: int):
@@ -235,11 +232,11 @@ def ex_via_patterns(n: int, fam: FamilySpec, p_max: Optional[int] = None) -> ExR
                 best.append((i, pat, sizes))
     witnesses: dict[tuple, RGraph] = {}
     for i, pat, sizes in best:
-        g, _ = blowup(pat, sizes)
+        g = blowup(pat, sizes)
         if g.n <= CANONICAL_MAX_N:
             # the certificate labeling, keyed as enumeration orders classes
-            g = canonical_relabel(g)
-            key = tuple(sorted(g.edge_masks))
+            g = canonical_form(g)
+            key = g.edge_masks
         else:
             # the patterns are pairwise non-isomorphic, so a position names a class
             key = (i, tuple(sorted(sizes)))
@@ -250,7 +247,7 @@ def ex_via_patterns(n: int, fam: FamilySpec, p_max: Optional[int] = None) -> ExR
                 )
             witnesses[key] = g
     wit = tuple(witnesses[k] for k in sorted(witnesses))
-    return ExResult(n, fam, best_val, wit, "patterns")
+    return ExResult(best_val, wit, "patterns")
 
 
 def ex(n: int, fam: FamilySpec, method: str = "both", p_max: Optional[int] = None) -> ExResult:
@@ -280,10 +277,10 @@ def ex(n: int, fam: FamilySpec, method: str = "both", p_max: Optional[int] = Non
             f"no {fam.label}-free graph on {n} vertices has the {patt.value} edges "
             f"of a pattern-route witness"
         )
-    brute = _most_edges(n, fam, reps)
+    brute = _most_edges(reps)
     if brute.value != patt.value:
         raise SoundnessError(
             f"route disagreement for {fam.label} at n={n}: "
             f"bruteforce={brute.value}, patterns={patt.value}"
         )
-    return ExResult(n, fam, brute.value, brute.witnesses, "both-agree")
+    return ExResult(brute.value, brute.witnesses, "both-agree")

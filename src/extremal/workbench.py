@@ -11,7 +11,9 @@ newline) and CSV floats carry 12 significant digits.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -267,7 +269,10 @@ def op_extendable(p: dict, seed: int) -> dict:
 
 def op_enum(p: dict, seed: int) -> dict:
     if p["family"] is not None:
-        reps = free_representatives(p["n"], parse_family(p["family"]))
+        fam = parse_family(p["family"])
+        if fam.r != p["r"]:
+            raise FormatError(f"family {p['family']!r} has r = {fam.r}, not r = {p['r']}")
+        reps = free_representatives(p["n"], fam)
     else:
         reps = enumerate_rgraphs(p["n"], p["r"])
     return {
@@ -371,8 +376,10 @@ def run(config: ExperimentConfig) -> ResultRecord:
     ``json``, which stores the canonical payload; any other name or a path
     that is not a string raises ``FormatError``, as does a seed that is not
     a JSON integer of at least 0, a missing or unknown name in ``params`` or
-    a value of the wrong JSON type, before the command runs.  Number params
-    reach the command as ``Fraction``s (see ``_exact``).  The payload is the
+    a value of the wrong JSON type, before the command runs.  A path that
+    names a directory, or whose directory does not exist, raises the
+    ``OSError`` that writing it would, also before the command runs.  Number
+    params reach the command as ``Fraction``s (see ``_exact``).  The payload is the
     command's, with its name under ``command``.
     """
     if config.command not in _DISPATCH:
@@ -382,6 +389,10 @@ def run(config: ExperimentConfig) -> ResultRecord:
             raise FormatError(f"unknown output kind {name!r}")
         if not isinstance(path, str):
             raise FormatError(f"output {name!r} must be a path string, got {path!r}")
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if not hgr.is_json_int(config.seed) or config.seed < 0:
         raise FormatError(f"seed must be a JSON integer of at least 0, got {config.seed!r}")
     required, optional = _PARAMS[config.command]

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from extremal.isomorphism import canonical_form
 from extremal.morphism import FamilySpec, is_free
 from extremal.rgraph import RGraph
 
@@ -23,6 +24,12 @@ def cycle(n: int) -> RGraph:
 
 def path(n: int) -> RGraph:
     return RGraph(2, n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def are_isomorphic(a: RGraph, b: RGraph) -> bool:
+    if a.r != b.r or a.n != b.n or len(a.edges) != len(b.edges):
+        return False
+    return canonical_form(a) == canonical_form(b)
 
 
 def random_rgraph(rng: random.Random, n: int, r: int, density: float = 0.4) -> RGraph:

@@ -23,7 +23,7 @@ from click.testing import CliRunner
 
 from extremal import constructions as cons, hgr
 from extremal.cli import main as cli_main
-from extremal.isomorphism import are_isomorphic, enumerate_rgraphs
+from extremal.isomorphism import enumerate_rgraphs
 from extremal.lagrangian import (
     evaluate,
     gradient,
@@ -55,7 +55,7 @@ from extremal.symmetrization import (
     symmetrize,
 )
 
-from conftest import cycle, random_free_rgraph, random_rgraph
+from conftest import are_isomorphic, cycle, random_free_rgraph, random_rgraph
 
 K3FAM = single_graph(cons.complete_graph(3))
 SIGMA3 = generalized_triangles(3)
@@ -295,7 +295,7 @@ def _prepare_workdir(tmp_path, subdir: str):
     workdir.mkdir()
     hgr.dump(cycle(5), workdir / "c5.hgr")
     hgr.dump(cons.complete_graph(3), workdir / "k3.hgr")
-    big, _ = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
+    big = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
         cons.complete_graph(3), [5, 4, 4]
     )
     hgr.dump(big, workdir / "big.hgr")

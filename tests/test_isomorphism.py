@@ -13,10 +13,8 @@ from extremal.isomorphism import (
     _refine,
     _search,
     _twins,
-    are_isomorphic,
     automorphism_generators,
     canonical_form,
-    canonical_relabel,
     enumerate_rgraphs,
     relabel,
 )
@@ -64,18 +62,18 @@ def test_matches_naive_minimum_on_random_graphs():
         rng.shuffle(perm)
         graphs += [h, relabel(h, perm)]
     # the certificates split the graphs into exactly the naive classes
-    pairs = {(canonical_form(g).key, (g.r, g.n, tuple(naive_minimum(g)))) for g in graphs}
+    pairs = {(canonical_form(g), (g.r, g.n, tuple(naive_minimum(g)))) for g in graphs}
     assert len(pairs) == len({k for k, _ in pairs}) == len({m for _, m in pairs})
 
 
 def test_relabel_invariance():
     rng = random.Random(5)
     for h in [cycle(5), cons.turan_graph(6, 3), cons.gen_triangle(3), random_rgraph(rng, 6, 3)]:
-        base = canonical_form(h).key
+        base = canonical_form(h)
         for _ in range(1000):
             perm = list(range(h.n))
             rng.shuffle(perm)
-            assert canonical_form(relabel(h, perm)).key == base
+            assert canonical_form(relabel(h, perm)) == base
 
 
 def test_k3_relabeled():
@@ -112,7 +110,7 @@ def assert_generates_automorphisms(h):
     for p in gens:
         assert sorted(p) == list(range(h.n))
         assert relabel(h, p).edges == h.edges
-    assert len(group_closure(h.n, gens)) == canonical_form(h).automorphisms
+    assert len(group_closure(h.n, gens)) == group_order(*refined(h)[1:])
 
 
 @pytest.mark.parametrize(
@@ -126,14 +124,21 @@ def assert_generates_automorphisms(h):
     ],
 )
 def test_automorphism_counts(graph, count):
-    assert canonical_form(graph).automorphisms == count
+    assert group_order(*refined(graph)[1:]) == count
     assert_generates_automorphisms(graph)
 
 
-def test_canonical_relabel_is_isomorphic():
-    g = cons.turan_rgraph(6, 3, 3)
-    c = canonical_relabel(g)
-    assert are_isomorphic(g, c)
+def test_canonical_form_is_a_relabeling():
+    # the first labeling of the final beam lists the old vertices in new-label
+    # order, so its inverse maps h onto its canonical form
+    rng = random.Random(47)
+    for h in [cons.turan_rgraph(6, 3, 3), cycle(5)] + [
+        random_rgraph(rng, 7, rng.choice([2, 3]), 0.4) for _ in range(50)
+    ]:
+        perm = [0] * h.n
+        for new, old in enumerate(refined(h)[1][0]):
+            perm[old] = new
+        assert relabel(h, perm) == canonical_form(h)
 
 
 def test_budget(monkeypatch):
@@ -237,7 +242,7 @@ def test_orbit_pruning_keeps_representatives(n, r, fam):
     old = dedupe_enumerate(n, r, full)
     # the oracle's classes in the output contract: certificate labeling, in
     # certificate order
-    expected = sorted((canonical_relabel(g) for g in old), key=lambda g: refined(g)[0])
+    expected = sorted((canonical_form(g) for g in old), key=lambda g: refined(g)[0])
     assert [g.edges for g in new] == [g.edges for g in expected]
 
 
@@ -248,7 +253,7 @@ def test_enumeration_emits_certificate_labelings_in_certificate_order(
     for n, r, fam in [(8, 2, K3), (7, 2, K4), (6, 3, SIGMA3)]:
         levels.append(enumerate_rgraphs(n, r, lambda g, e: is_free(g, fam, through=e)))
     for reps in levels:
-        assert all(canonical_relabel(g) == g for g in reps)
+        assert all(canonical_form(g) == g for g in reps)
         # so each graph's certificate is its own sorted edge masks
         keys = [tuple(sorted(g.edge_masks)) for g in reps]
         assert all(a < b for a, b in zip(keys, keys[1:]))
@@ -302,7 +307,7 @@ def test_children_carry_the_views_of_a_validated_graph(n, r, fam):
 
     reps = enumerate_rgraphs(n, r, predicate)
     # each returned graph is a built child in its certificate labeling
-    assert set(reps) <= {canonical_relabel(g) for g in built}
+    assert set(reps) <= {canonical_form(g) for g in built}
 
 
 def test_automorphism_generators_on_random_graphs():
@@ -316,7 +321,7 @@ def test_automorphism_generators_on_random_graphs():
 def test_trivial_group_has_no_generators():
     # triangle 2-3-4 with a path of length 2 hanging off 2 and a pendant on 4
     rigid = RGraph(2, 6, ((0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5)))
-    assert canonical_form(rigid).automorphisms == 1
+    assert group_order(*refined(rigid)[1:]) == 1
     assert automorphism_generators(rigid) == []
 
 
@@ -373,7 +378,7 @@ def test_canonical_parent_deletes_a_minimum_degree_vertex(all_graphs_upto_7, all
             for g in levels[n]:
                 assert g.degrees[0] == g.min_degree()
                 rest = tuple(tuple(v - 1 for v in e) for e in g.edges if 0 not in e)
-                assert canonical_relabel(RGraph(r, n - 1, rest)) in below
+                assert canonical_form(RGraph(r, n - 1, rest)) in below
             below = set(levels[n])
 
 
@@ -392,9 +397,9 @@ def test_canonical_form_is_the_certificate(all_graphs_upto_7, all_3graphs_upto_6
     for fixture in (all_graphs_upto_7, all_3graphs_upto_6):
         for graphs in fixture.values():
             for g in graphs:
-                form = canonical_form(g)
-                assert sorted(mask_of(e) for e in form.edges) == refined(g)[0]
-                assert canonical_relabel(g).edges == form.edges
+                # each fixture graph is its class's enumeration representative
+                assert canonical_form(g) == g
+                assert sorted(mask_of(e) for e in g.edges) == refined(g)[0]
 
 
 def test_certificate_invariant_under_relabeling():
@@ -417,7 +422,7 @@ def test_refined_beam_gives_the_group(all_graphs_upto_7, all_3graphs_upto_6):
             for g in graphs:
                 _, beam, eq = refined(g)
                 order = group_order(*lex_minimal(g)[1:])
-                assert group_order(beam, eq) == canonical_form(g).automorphisms == order
+                assert group_order(beam, eq) == order
                 assert_generates_automorphisms(g)
 
 
@@ -440,7 +445,7 @@ def test_twin_search_matches_the_identical_link_oracle(
     monkeypatch.setattr(isomorphism, "_twins", equivalence_classes)
     for h, form, group in zip(graphs, forms, groups):
         assert canonical_form(h) == form
-        assert len(group) == form.automorphisms
+        assert len(group) == group_order(*refined(h)[1:])
         assert group_closure(h.n, automorphism_generators(h)) == group
 
 
@@ -456,7 +461,7 @@ def test_twins_are_the_swappable_pairs():
     for _ in range(300):
         r = rng.choice([2, 3])
         base = random_rgraph(rng, rng.randint(0, 5), r, rng.choice([0.2, 0.5, 0.8]))
-        h, _ = blowup(base, [rng.randint(1, 2) for _ in range(base.n)])
+        h = blowup(base, [rng.randint(1, 2) for _ in range(base.n)])
         perm = list(range(h.n))
         rng.shuffle(perm)
         for g in (h, complement(h), relabel(h, perm), relabel(complement(h), perm)):

@@ -335,7 +335,7 @@ class TestMaximize:
             maximize(cons.turan_graph(13, 3), restarts=restarts)
 
     def test_multistart_path(self):
-        g, _ = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
+        g = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
             cons.complete_graph(3), [5, 5, 3]
         )
         res = maximize(g, seed=1)

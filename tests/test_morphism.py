@@ -65,7 +65,7 @@ class TestHomomorphism:
         assert has_homomorphism(K3, cycle(5)) is None
 
     def test_blowup_projects(self):
-        blown, _ = blowup(cons.complete_rgraph(4, 3), [2, 1, 1, 1])
+        blown = blowup(cons.complete_rgraph(4, 3), [2, 1, 1, 1])
         assert has_homomorphism(blown, cons.complete_rgraph(4, 3)) is not None
 
     @pytest.mark.parametrize("seed", range(8))
@@ -218,7 +218,7 @@ class TestBlowupInvariance:
             for sizes in itertools.product(range(1, 4), repeat=pat.n):
                 if sum(sizes) > 8:
                     continue
-                blown, _ = blowup(pat, sizes)
+                blown = blowup(pat, sizes)
                 assert is_free(blown, fam)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from extremal import constructions as cons
 from extremal import errors
-from extremal.isomorphism import are_isomorphic
 from extremal.morphism import single_graph, two_covered_free_patterns
 from extremal.errors import SoundnessError
 from extremal.isomorphism import enumerate_rgraphs
@@ -37,7 +36,7 @@ from extremal.stability import (
     vertex_deletion_distance,
 )
 
-from conftest import cycle, random_rgraph
+from conftest import are_isomorphic, cycle, random_rgraph
 
 K3FAM = single_graph(cons.complete_graph(3))
 BIPARTITE = complete_blowups(2, 2)
@@ -162,7 +161,7 @@ class TestHull:
                 h = random_rgraph(rng, n, spec.r, 0.5)
                 if not in_hull(h, spec):
                     continue
-                smaller, _ = delete_vertices(h, [rng.randrange(n)])
+                smaller = delete_vertices(h, [rng.randrange(n)])
                 assert in_hull(smaller, spec)
                 if h.edges:
                     drop = rng.randrange(len(h.edges))
@@ -173,7 +172,7 @@ class TestHull:
         cases = [
             (cons.turan_rgraph(6, 3, 3), complete_blowups(3, 3)),
             (cons.complete_semibipartite(2, 4, 3), semibipartite_class(3)),
-            (blowup(cons.complete_rgraph(3, 3), [2, 1, 2])[0], two_covered_systems(3, 4)),
+            (blowup(cons.complete_rgraph(3, 3), [2, 1, 2]), two_covered_systems(3, 4)),
         ]
         for g, spec in cases:
             assert class_membership(g, spec)
@@ -219,7 +218,7 @@ class TestHullMemo:
                 assert inside and len(inside) < len(small_graphs[r])
                 for h in inside:
                     for v in range(h.n):
-                        assert in_hull(delete_vertices(h, (v,))[0], spec), (spec.label, h.edges, v)
+                        assert in_hull(delete_vertices(h, (v,)), spec), (spec.label, h.edges, v)
 
     def test_the_memo_lives_on_the_graph(self):
         h = cycle(5)
@@ -323,7 +322,7 @@ class TestDistances:
         lands in the hull."""
         for k in range(h.n + 1):
             for combo in itertools.combinations(range(h.n), k):
-                if in_hull(delete_vertices(h, combo)[0], spec):
+                if in_hull(delete_vertices(h, combo), spec):
                     return k
         raise AssertionError("the edgeless graph is in every hull")
 
@@ -446,6 +445,18 @@ class TestScans:
         # n_lo > n_hi would scan nothing and report clean
         with pytest.raises(ValueError, match="empty vertex range 9..5"):
             scan_stability(K3FAM, BIPARTITE, "degree", (9, 5), 0.1, 0.0, 0.5)
+
+    def test_family_and_class_of_other_uniformities_refused(self, monkeypatch):
+        import extremal.stability as stability
+
+        # at eps = 0 no triangle-free graph clears the threshold, so a scan
+        # that enumerated first would report clean without ever meeting the class
+        calls = []
+        monkeypatch.setattr(stability, "free_representatives",
+                            lambda *args, **kwargs: calls.append(args) or ())
+        with pytest.raises(ValueError, match="uniformity mismatch: family r=2, class r=3"):
+            scan_stability(K3FAM, complete_blowups(3, 3), "degree", (5, 6), 0, 0, 0.5)
+        assert calls == []
 
     def test_counterexample_not_free_on_recheck_raises(self, monkeypatch):
         import extremal.stability as stability

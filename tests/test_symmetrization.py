@@ -6,7 +6,6 @@ import pytest
 from extremal import constructions as cons
 from extremal import errors, morphism, symmetrization
 from extremal.errors import BudgetError, SoundnessError
-from extremal.isomorphism import are_isomorphic
 from extremal.morphism import (
     generalized_triangles,
     is_free,
@@ -24,7 +23,7 @@ from extremal.rgraph import (
 )
 from extremal.symmetrization import _step, ex, ex_bruteforce, ex_via_patterns, symmetrize
 
-from conftest import cycle, identical_link_classes, random_free_rgraph
+from conftest import are_isomorphic, cycle, identical_link_classes, random_free_rgraph
 
 K3FAM = single_graph(cons.complete_graph(3))
 K4FAM = single_graph(cons.complete_graph(4))
@@ -274,9 +273,7 @@ class TestBothRoutes:
     )
     def test_gated_brute_force_checks_the_pattern_value(self, monkeypatch, shift, message):
         true = ex_via_patterns(8, K3FAM)
-        reported = symmetrization.ExResult(
-            8, K3FAM, true.value + shift, true.witnesses, true.method
-        )
+        reported = symmetrization.ExResult(true.value + shift, true.witnesses, true.method)
         monkeypatch.setattr(symmetrization, "ex_via_patterns", lambda *args: reported)
         with pytest.raises(SoundnessError, match=message):
             ex(8, K3FAM)

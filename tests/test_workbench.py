@@ -1,16 +1,16 @@
 import inspect
 import json
+import re
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import cycle
+from conftest import are_isomorphic, cycle
 
 from extremal import constructions as cons, errors, hgr
 from extremal.cli import main
 from extremal.errors import FormatError
-from extremal.isomorphism import are_isomorphic
 from extremal.lagrangian import maximize
 from extremal.morphism import is_free, single_graph
 from extremal.stability import COUNTEREXAMPLE, VACUOUS, check_vertex_extendable
@@ -164,6 +164,19 @@ class TestRun:
         run(ExperimentConfig("ex", {"n": 8, "family": "k3"},
                              outputs={"json": str(tmp_path / "r.json")}))
         assert len(calls) == 1
+
+    def test_unusable_output_path_refused_before_the_command_runs(self, monkeypatch, tmp_path):
+        # the error is the one writing the payload would raise, after the work
+        calls = []
+        monkeypatch.setitem(_DISPATCH, "enum", lambda p, seed: calls.append(p) or {})
+        (tmp_path / "f").write_text("")  # a file where a directory should be
+        for path, error in ((tmp_path, IsADirectoryError),
+                            (tmp_path / "missing" / "r.json", FileNotFoundError),
+                            (tmp_path / "f" / "r.json", FileNotFoundError)):
+            with pytest.raises(error, match=re.escape(repr(str(path)))):
+                run(ExperimentConfig("enum", {"n": 4, "r": 2}, outputs={"json": str(path)}))
+        assert calls == []
+        assert not (tmp_path / "missing").exists()
 
     def test_unknown_or_missing_params_refused_before_the_command_runs(self, monkeypatch):
         calls = []
@@ -449,6 +462,20 @@ class TestCli:
         for f in files:
             assert is_free(hgr.load(f), fam)
 
+    def test_enum_refuses_a_family_of_another_uniformity(self, runner, monkeypatch, tmp_path):
+        from extremal import workbench
+
+        # sigma:3 holds 3-graphs: refused before anything is enumerated or written
+        calls = []
+        monkeypatch.setattr(workbench, "free_representatives", lambda *args: calls.append(args))
+        out = tmp_path / "e.json"
+        res = runner.invoke(
+            main, ["enum", "--n", "5", "--r", "2", "--family", "sigma:3", "--json", str(out)]
+        )
+        assert res.exit_code == 2
+        assert res.output == "error: family 'sigma:3' has r = 3, not r = 2\n"
+        assert calls == [] and not out.exists()
+
     @pytest.mark.parametrize("n, parts", [(5, 2), (13, 3)])
     def test_negative_seed_exit_2(self, runner, tmp_path, n, parts):
         # 5 vertices enumerate supports and 13 run the seeded multistart ascent:
@@ -461,7 +488,7 @@ class TestCli:
 
     def test_determinism_fixed_seed(self, runner, tmp_path):
         p = tmp_path / "g.hgr"
-        g, _ = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
+        g = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
             cons.complete_graph(3), [5, 4, 4]
         )
         hgr.dump(g, p)

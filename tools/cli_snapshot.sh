@@ -231,3 +231,8 @@ fail seed-negative --seed -1 lagrangian c5.hgr
 # a directory where a file should be is a file error (2), read or written
 fail check-dir-input check . --class bipartite
 fail check-dir-json check c5.hgr --class bipartite --json .
+# so is an output path in no directory, before the command runs
+fail ex-json-missing-dir ex --n 8 --family sigma:3 --json missing/x.json
+# a family whose uniformity is not the command's r or the class's, before any work
+fail enum-family-r enum --n 5 --r 2 --family sigma:3 --json enum-family-r.json
+fail scan-family-class-r scan --family k3 --class krl:3:3 --n 5..6 --eps 0 --expect-clean
