@@ -3,13 +3,15 @@
 Exit codes: 0 ok, 2 parse, usage or file error, 3 budget exceeded, 4 counterexample
 found under ``scan --expect-clean``.  All randomness hangs off the single
 ``--seed`` option, so equal invocations produce byte-identical outputs.
+Every computing subcommand hands its params and output paths to
+``workbench.run``, which refuses an unusable path before the work and writes
+every file; ``make`` does no work before it writes, and writes its own.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from pathlib import Path
 from typing import Optional
 
 import click
@@ -46,12 +48,13 @@ def main(ctx: click.Context, seed: int) -> None:
     ctx.obj = {"seed": seed}
 
 
-def _run(command: str, params: dict, json_path: Optional[str]) -> dict:
+def _run(command: str, params: dict, outputs: dict[str, Optional[str]]) -> dict:
     """Run one computing subcommand through ``workbench.run`` under the
-    group's seed, writing the payload to ``json_path`` when one is given."""
+    group's seed.  Its path options are named by output kind (see
+    ``workbench._OUTPUTS``), so each one given is an output ``run`` writes."""
     seed = click.get_current_context().obj["seed"]
-    outputs = {"json": json_path} if json_path else {}
-    config = workbench.ExperimentConfig(command, params, seed, outputs)
+    paths = {kind: path for kind, path in outputs.items() if path}
+    config = workbench.ExperimentConfig(command, params, seed, paths)
     return workbench.run(config).outputs["payload"]
 
 
@@ -72,11 +75,11 @@ def make(tag: str, params: tuple[str, ...], output: str) -> None:
 @click.argument("path")
 @click.option("--class", "target", default=None, help="Class spec, e.g. krl:3:3 or bipartite.")
 @click.option("--family", default=None, help="Family spec, e.g. k3 or sigma:3.")
-@click.option("--json", "json_path", default=None, help="Write the report as JSON.")
+@click.option("--json", default=None, help="Write the report as JSON.")
 @_guarded
-def check(path: str, target: Optional[str], family: Optional[str], json_path: Optional[str]) -> None:
+def check(path: str, target: Optional[str], family: Optional[str], **outputs: Optional[str]) -> None:
     """Report hull membership / freeness of a graph file."""
-    payload = _run("check", {"input": path, "class": target, "family": family}, json_path)
+    payload = _run("check", {"input": path, "class": target, "family": family}, outputs)
     for key in ("in_hull", "member", "free"):
         if key in payload:
             click.echo(f"{key}: {payload[key]}")
@@ -88,18 +91,13 @@ def check(path: str, target: Optional[str], family: Optional[str], json_path: Op
 @click.option("--method", type=click.Choice(["brute", "patterns", "both"]),
               default=workbench.default("ex", "method"), show_default=True)
 @click.option("--pmax", type=int, default=None, help="Pattern size cap for the pattern route.")
-@click.option("--json", "json_path", default=None)
-@click.option("--witness-dir", default=None, help="Directory for extremal witness .hgr files.")
+@click.option("--json", default=None)
+@click.option("--witness-dir", "hgr_dir", default=None,
+              help="Directory for extremal witness .hgr files.")
 @_guarded
-def ex(n: int, family: str, method: str, pmax: Optional[int], json_path: Optional[str],
-       witness_dir: Optional[str]) -> None:
+def ex(n: int, family: str, method: str, pmax: Optional[int], **outputs: Optional[str]) -> None:
     """Exact Turan number with extremal witnesses."""
-    payload = _run("ex", {"n": n, "family": family, "method": method, "pmax": pmax}, json_path)
-    if witness_dir:
-        out = Path(witness_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, obj in enumerate(payload["witnesses"]):
-            hgr.dump(hgr.from_json_obj(obj), out / f"ex_n{n}_w{i}.hgr")
+    payload = _run("ex", {"n": n, "family": family, "method": method, "pmax": pmax}, outputs)
     click.echo(f"ex(n={n}, {family}) = {payload['value']} "
                f"[{payload['method']}, {len(payload['witnesses'])} witness(es)]")
 
@@ -111,13 +109,13 @@ def ex(n: int, family: str, method: str, pmax: Optional[int], json_path: Optiona
               show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
               show_default=True)
-@click.option("--json", "json_path", default=None)
+@click.option("--json", default=None)
 @_guarded
 def lagrangian(path: str, supports: bool, restarts: int, fmt: str,
-               json_path: Optional[str]) -> None:
+               **outputs: Optional[str]) -> None:
     """Maximize the edge polynomial of a graph file over the simplex."""
     params = {"input": path, "supports": supports, "restarts": restarts}
-    payload = _run("lagrangian", params, json_path)
+    payload = _run("lagrangian", params, outputs)
     if fmt == "json":
         click.echo(canonical_json(payload), nl=False)
     else:
@@ -132,17 +130,13 @@ def lagrangian(path: str, supports: bool, restarts: int, fmt: str,
 @click.option("--family", required=True)
 @click.option("--mode", type=click.Choice(["class", "vertex"]),
               default=workbench.default("symmetrize", "mode"), show_default=True)
-@click.option("--trace", "trace_path", default=None, help="Write the step trace as JSON.")
-@click.option("-o", "--output", default=None, help="Write the final graph as .hgr.")
+@click.option("--trace", "json", default=None, help="Write the step trace as JSON.")
+@click.option("-o", "--output", "hgr", default=None, help="Write the final graph as .hgr.")
 @_guarded
-def symmetrize(path: str, family: str, mode: str, trace_path: Optional[str],
-               output: Optional[str]) -> None:
+def symmetrize(path: str, family: str, mode: str, **outputs: Optional[str]) -> None:
     """Run symmetrization to a fixed point."""
-    payload = _run("symmetrize", {"input": path, "family": family, "mode": mode}, trace_path)
-    if output:
-        hgr.dump(hgr.from_json_obj(payload["final"]), output)
-    final = payload["final"]
-    click.echo(f"{len(payload['steps'])} step(s); final has {len(final['edges'])} edges")
+    payload = _run("symmetrize", {"input": path, "family": family, "mode": mode}, outputs)
+    click.echo(f"{len(payload['steps'])} step(s); final has {len(payload['final']['edges'])} edges")
 
 
 @main.command()
@@ -157,12 +151,11 @@ def symmetrize(path: str, family: str, mode: str, trace_path: Optional[str],
               help="Reference density; defaults to the family preset when known.")
 @click.option("--expect-clean", is_flag=True,
               help="Exit with status 4 if any counterexample is found.")
-@click.option("--json", "json_path", default=None)
-@click.option("--csv", "csv_path", default=None, help="Write the counterexample table as CSV.")
+@click.option("--json", default=None)
+@click.option("--csv", default=None, help="Write the counterexample table as CSV.")
 @_guarded
 def scan(family: str, target: str, kind: str, n_range: str, eps: str, delta: str,
-         piref: Optional[str], expect_clean: bool, json_path: Optional[str],
-         csv_path: Optional[str]) -> None:
+         piref: Optional[str], expect_clean: bool, **outputs: Optional[str]) -> None:
     """Exhaustive stability scan over all family-free graphs in a vertex range."""
     try:
         lo, hi = (int(tok) for tok in n_range.split(".."))
@@ -170,14 +163,7 @@ def scan(family: str, target: str, kind: str, n_range: str, eps: str, delta: str
         raise FormatError(f"bad --n range {n_range!r}, expected A..B") from exc
     params = {"family": family, "class": target, "kind": kind, "n_lo": lo, "n_hi": hi,
               "eps": eps, "delta": delta, "pi_ref": piref}
-    payload = _run("scan", params, json_path)
-    if csv_path:
-        rows = ["n,min_degree,edges,distance,bound"]
-        for c in payload["counterexamples"]:
-            dist = "" if c["distance"] is None else str(c["distance"])
-            bound = "" if c["bound"] is None else fmt_float(c["bound"])
-            rows.append(f"{c['n']},{c['min_degree']},{c['edges']},{dist},{bound}")
-        Path(csv_path).write_text("\n".join(rows) + "\n")
+    payload = _run("scan", params, outputs)
     click.echo(payload["summary"])
     if expect_clean and payload["counterexamples"]:
         sys.exit(EXIT_COUNTEREXAMPLE)
@@ -189,13 +175,13 @@ def scan(family: str, target: str, kind: str, n_range: str, eps: str, delta: str
 @click.option("--class", "target", required=True)
 @click.option("--zeta", required=True)
 @click.option("--piref", required=True)
-@click.option("--json", "json_path", default=None)
+@click.option("--json", default=None)
 @_guarded
 def extendable(path: str, vertex: int, target: str, zeta: str, piref: str,
-               json_path: Optional[str]) -> None:
+               **outputs: Optional[str]) -> None:
     """Vertex-extendability verdict for one graph and one vertex."""
     params = {"input": path, "vertex": vertex, "class": target, "zeta": zeta, "pi_ref": piref}
-    payload = _run("extendable", params, json_path)
+    payload = _run("extendable", params, outputs)
     click.echo(f"{payload['status']} (degree_ok={payload['degree_ok']}, "
                f"base_in_hull={payload['base_in_hull']}, self_in_hull={payload['self_in_hull']})")
 
@@ -204,18 +190,13 @@ def extendable(path: str, vertex: int, target: str, zeta: str, piref: str,
 @click.option("--n", type=int, required=True)
 @click.option("--r", "uniformity", type=int, required=True)
 @click.option("--family", default=None, help="Restrict to family-free graphs.")
-@click.option("-o", "--outdir", default=None, help="Dump one .hgr per isomorphism class.")
-@click.option("--json", "json_path", default=None)
+@click.option("-o", "--outdir", "hgr_dir", default=None,
+              help="Dump one .hgr per isomorphism class.")
+@click.option("--json", default=None)
 @_guarded
-def enum(n: int, uniformity: int, family: Optional[str], outdir: Optional[str],
-         json_path: Optional[str]) -> None:
+def enum(n: int, uniformity: int, family: Optional[str], **outputs: Optional[str]) -> None:
     """Isomorph-free enumeration."""
-    payload = _run("enum", {"n": n, "r": uniformity, "family": family}, json_path)
-    if outdir:
-        out = Path(outdir)
-        out.mkdir(parents=True, exist_ok=True)
-        for i, obj in enumerate(payload["graphs"]):
-            hgr.dump(hgr.from_json_obj(obj), out / f"g{i:05d}.hgr")
+    payload = _run("enum", {"n": n, "r": uniformity, "family": family}, outputs)
     click.echo(f"{payload['count']} isomorphism class(es)")
 
 

@@ -49,8 +49,6 @@ def gen_triangle(r: int) -> RGraph:
     """The generalized triangle on 2r-1 vertices: edges B, C sharing r-1
     vertices and a third edge through their symmetric difference, disjoint
     from the shared part."""
-    if r < 2:
-        raise ValueError("generalized triangle needs r >= 2")
     b = tuple(range(r))
     c = tuple(range(r - 1)) + (r,)
     a = (r - 1, r) + tuple(range(r + 1, 2 * r - 1))

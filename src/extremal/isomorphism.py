@@ -302,7 +302,8 @@ def enumerate_rgraphs(
     Each class is returned in its certificate labeling (a fixed point of
     ``canonical_form``), and the list is in increasing certificate order.
     Past ``CAPS["link sets"]`` children and orbit images, or past
-    ``CANONICAL_MAX_N`` vertices, the call raises ``BudgetError``.
+    ``CANONICAL_MAX_N`` vertices, the call raises ``BudgetError``; a
+    negative ``n`` or an ``r`` below 2 raises ``ValueError``.
 
     The predicate must be hereditary: true of every graph isomorphic to a
     subgraph of a graph it holds for.  So a graph that fails is pruned with
@@ -370,6 +371,8 @@ def enumerate_rgraphs(
     arrives with its bitmask views (``edge_masks``, ``edge_mask_set``,
     ``degrees``, ``covered_adj``) carried over from the parent.
     """
+    if n < 0 or r < 2:
+        raise ValueError(f"enumeration needs n >= 0 and r >= 2, got n={n}, r={r}")
     if n > CANONICAL_MAX_N:  # refused here, not after every level below n
         raise BudgetError(f"enumeration needs canonical forms on n <= {CANONICAL_MAX_N}, got {n}")
     if min_degree > comb(max(n - 1, 0), r - 1) or min_edges > comb(n, r):

@@ -62,10 +62,12 @@ class LagrangianResult:
     converged: bool
 
 
-def _weights(x) -> Sequence:
-    if isinstance(x, SimplexPoint):
-        return x.weights
-    return x
+def _weights(x, n: int) -> Sequence:
+    """The weights of a ``SimplexPoint`` or a sequence, which must number ``n``."""
+    w = x.weights if isinstance(x, SimplexPoint) else x
+    if len(w) != n:
+        raise ValueError(f"need {n} weights, got {len(w)}")
+    return w
 
 
 def _is_exact(seq) -> bool:
@@ -100,9 +102,7 @@ def evaluate(g: RGraph, x) -> float | Fraction:
 
     Exact (Fraction) arithmetic when all weights are exact, floats otherwise.
     """
-    w = _weights(x)
-    if len(w) != g.n:
-        raise ValueError(f"need {g.n} weights, got {len(w)}")
+    w = _weights(x, g.n)
     if _is_exact(w):
         return sum((prod(Fraction(w[v]) for v in e) for e in g.edges), Fraction(0))
     return _poly(_edge_array(g), np.asarray(w, dtype=float))
@@ -110,9 +110,7 @@ def evaluate(g: RGraph, x) -> float | Fraction:
 
 def gradient(g: RGraph, x) -> np.ndarray | tuple:
     """Per-vertex partials; component i is the link polynomial of vertex i."""
-    w = _weights(x)
-    if len(w) != g.n:
-        raise ValueError(f"need {g.n} weights, got {len(w)}")
+    w = _weights(x, g.n)
     if _is_exact(w):
         out = [Fraction(0)] * g.n
         for e in g.edges:
@@ -163,11 +161,6 @@ def lambda_complete(m: int, r: int) -> Fraction:
     return Fraction(comb(m, r), m**r)
 
 
-def _check_on_simplex(x: Sequence) -> None:
-    if not all(-1e-9 <= w < inf for w in x) or abs(sum(x) - 1.0) > 1e-9:
-        raise ValueError("point is not on the simplex")
-
-
 def maclaurin_residual(m: int, r: int, x) -> float:
     """Slack of the complete-graph bound
     ``L + C(m,r)/(m^(r-1)(m-1)) * sum (x_i - 1/m)^2 <= C(m,r)/m^r``;
@@ -175,10 +168,9 @@ def maclaurin_residual(m: int, r: int, x) -> float:
     """
     if m < r or r < 2 or m < 2:
         raise ValueError(f"need m >= r >= 2, got m={m}, r={r}")
-    w = _weights(x)
-    if len(w) != m:
-        raise ValueError(f"need {m} weights, got {len(w)}")
-    _check_on_simplex(w)
+    w = _weights(x, m)
+    if not all(-1e-9 <= t < inf for t in w) or abs(sum(w) - 1.0) > 1e-9:
+        raise ValueError("point is not on the simplex")
     from .constructions import complete_rgraph
 
     val = evaluate(complete_rgraph(m, r), [float(t) for t in w])

@@ -45,19 +45,15 @@ def mask_to_tuple(mask: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RGraph:
-    """An r-uniform hypergraph on n labeled vertices.
-
-    ``r >= 1`` is accepted so that links and shadows of 2-graphs remain
-    representable; user-facing constructions always build ``r >= 2``.
-    """
+    """An r-uniform hypergraph on n labeled vertices, with ``r >= 2``."""
 
     r: int
     n: int
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"uniformity must be >= 1, got {self.r}")
+        if self.r < 2:
+            raise ValueError(f"uniformity must be >= 2, got {self.r}")
         if not 0 <= self.n <= MAX_VERTICES:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.n}")
         norm = []
@@ -198,19 +194,18 @@ class VertexPartition:
 
 
 def link(h: RGraph, v: int) -> RGraph:
-    """The (r-1)-graph of sets completing ``v`` to an edge, on the same vertex set."""
+    """The (r-1)-graph of sets completing ``v`` to an edge, on the same vertex
+    set; a graph's link would be 1-uniform, which ``RGraph`` refuses."""
     if not 0 <= v < h.n:
         raise ValueError(f"vertex {v} out of range 0..{h.n - 1}")
-    if h.r < 2:
-        raise ValueError("link requires uniformity >= 2")
     vb = bit(v)
     return RGraph.from_masks(h.r - 1, h.n, (m & ~vb for m in h.edge_masks if m & vb))
 
 
 def shadow(h: RGraph, i: int) -> RGraph:
     """All (r-i)-sets contained in some edge, as an (r-i)-graph on the same vertices."""
-    if not 1 <= i <= h.r - 1:
-        raise ValueError(f"shadow index must be in 1..{h.r - 1}, got {i}")
+    if not 1 <= i <= h.r - 2:
+        raise ValueError(f"shadow index must be in 1..{h.r - 2}, got {i}")
     out = set()
     for e in h.edges:
         out.update(itertools.combinations(e, h.r - i))
@@ -250,13 +245,8 @@ def is_symmetrized(h: RGraph) -> bool:
     Coverage between two classes is constant (equivalent vertices have equal
     neighborhoods), so one representative pair per class pair suffices.
     """
-    parts = equivalence_classes(h)
-    reps = [c[0] for c in parts.classes]
-    for i, u in enumerate(reps):
-        for v in reps[i + 1 :]:
-            if not pair_covered(h, u, v):
-                return False
-    return True
+    reps = [c[0] for c in equivalence_classes(h).classes]
+    return all(pair_covered(h, u, v) for u, v in itertools.combinations(reps, 2))
 
 
 def blowup(g: RGraph, sizes: Iterable[int]) -> RGraph:
@@ -272,17 +262,10 @@ def blowup(g: RGraph, sizes: Iterable[int]) -> RGraph:
         raise ValueError(f"need {g.n} class sizes, got {len(sz)}")
     if any(s < 0 for s in sz):
         raise ValueError("class sizes must be nonnegative")
-    offsets = []
-    total = 0
-    for s in sz:
-        offsets.append(total)
-        total += s
-    ranges = [range(offsets[i], offsets[i] + sz[i]) for i in range(g.n)]
-    edges = []
-    for e in g.edges:
-        for combo in itertools.product(*(ranges[i] for i in e)):
-            edges.append(combo)
-    return RGraph(g.r, total, tuple(edges))
+    starts = (0, *itertools.accumulate(sz))
+    ranges = [range(starts[i], starts[i + 1]) for i in range(g.n)]
+    edges = [combo for e in g.edges for combo in itertools.product(*(ranges[i] for i in e))]
+    return RGraph(g.r, starts[-1], tuple(edges))
 
 
 def is_two_covered(h: RGraph) -> bool:

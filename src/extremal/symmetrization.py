@@ -211,9 +211,12 @@ def ex_via_patterns(n: int, fam: FamilySpec, p_max: Optional[int] = None) -> ExR
     this equals the brute-force value: symmetrized graphs are exactly proper
     blowups of their two-covered quotients, and symmetrization never loses
     edges.  A cap ``p_max`` below ``n`` makes the value a lower bound only;
-    a cap below 1 raises ``ValueError``.  The compositions of every pattern
-    count against ``CAPS["compositions"]``, each pattern's before its walk;
-    past the cap the call raises ``BudgetError``."""
+    a negative ``n`` or a cap below 1 raises ``ValueError``.  The
+    compositions of every pattern count against ``CAPS["compositions"]``,
+    each pattern's before its walk; past the cap the call raises
+    ``BudgetError``."""
+    if n < 0:
+        raise ValueError(f"vertex count n must be >= 0, got {n}")
     if p_max is not None and p_max < 1:
         raise ValueError(f"pattern size cap must be >= 1, got {p_max}")
     p_cap = min(p_max if p_max is not None else n, n)

@@ -1,12 +1,13 @@
 """Experiment configs, result records, and the command implementations.
 
-``run`` is the one way into the ``op_*`` functions: it checks a config's
-params against ``_PARAMS``, fills in the defaults, reads every number param
-as an exact ``Fraction`` and dispatches.  Every computing CLI subcommand
-builds such a config, so a config plus a seed fully determines the outputs,
-and a threshold is exact from either.  Payloads print those numbers as
-floats.  Output JSON is canonical (sorted keys, two-space indent, trailing
-newline) and CSV floats carry 12 significant digits.
+``run`` is the one way into the ``op_*`` functions and the one writer of
+their files: it checks a config's params against ``_PARAMS`` and its outputs
+against ``_OUTPUTS``, fills in the defaults, reads every number param as an
+exact ``Fraction``, dispatches and writes.  Every computing CLI subcommand
+builds such a config, so a config plus a seed fully determines every file
+the CLI writes, and a threshold is exact from either.  Payloads print those
+numbers as floats.  Output JSON is canonical (sorted keys, two-space indent,
+trailing newline) and CSV floats carry 12 significant digits.
 """
 
 from __future__ import annotations
@@ -58,6 +59,20 @@ def fmt_float(x: float) -> str:
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _hgr(obj: dict) -> str:
+    return hgr.dumps(hgr.from_json_obj(obj))
+
+
+def scan_csv(payload: dict) -> str:
+    """The counterexample table of a ``scan`` payload, one row per record."""
+    rows = ["n,min_degree,edges,distance,bound"]
+    for c in payload["counterexamples"]:
+        dist = "" if c["distance"] is None else str(c["distance"])
+        bound = "" if c["bound"] is None else fmt_float(c["bound"])
+        rows.append(f"{c['n']},{c['min_degree']},{c['edges']},{dist},{bound}")
+    return "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +373,17 @@ _DISPATCH: dict[str, Callable[[dict, int], dict]] = {
     "check": op_check, "extendable": op_extendable, "enum": op_enum,
 }
 
+# (command, output kind) -> the payload as the text of one file, or for
+# ``hgr_dir`` as file name -> text; JSON graphs are validated again on the way
+_OUTPUTS: dict[tuple[str, str], Callable[[dict], Any]] = {
+    **{(command, "json"): canonical_json for command in _DISPATCH},
+    ("scan", "csv"): scan_csv,
+    ("symmetrize", "hgr"): lambda p: _hgr(p["final"]),
+    ("ex", "hgr_dir"): lambda p: {f"ex_n{p['n']}_w{i}.hgr": _hgr(g)
+                                  for i, g in enumerate(p["witnesses"])},
+    ("enum", "hgr_dir"): lambda p: {f"g{i:05d}.hgr": _hgr(g) for i, g in enumerate(p["graphs"])},
+}
+
 
 def _exact(command: str, name: str, value: int | float | str) -> Fraction:
     """A number param as an exact rational.  A float reads as the decimal it
@@ -370,29 +396,23 @@ def _exact(command: str, name: str, value: int | float | str) -> Fraction:
 
 
 def run(config: ExperimentConfig) -> ResultRecord:
-    """Execute a config, write the payload if asked, and return it.
+    """Execute a config, write its outputs, and return the payload.
 
-    ``outputs`` maps logical names to path strings.  The one name is
-    ``json``, which stores the canonical payload; any other name or a path
-    that is not a string raises ``FormatError``, as does a seed that is not
-    a JSON integer of at least 0, a missing or unknown name in ``params`` or
-    a value of the wrong JSON type, before the command runs.  A path that
-    names a directory, or whose directory does not exist, raises the
-    ``OSError`` that writing it would, also before the command runs.  Number
-    params reach the command as ``Fraction``s (see ``_exact``).  The payload is the
+    ``outputs`` maps output kinds to path strings: ``json`` (the payload, any
+    command), ``csv`` (the counterexample table of ``scan``), ``hgr`` (the
+    final graph of ``symmetrize``) and ``hgr_dir`` (``ex`` witnesses, ``enum``
+    classes).  A seed that is not a JSON integer of at least 0, a missing or
+    unknown name in ``params``, a value of the wrong JSON type, a kind the
+    command does not take or a path that is not a string raises
+    ``FormatError``, and a file path that names a directory or lies in none
+    the ``OSError`` writing it would raise, all before the command runs.  An
+    ``hgr_dir`` is created then, or raises what creating it raises; a later
+    refusal, by another path or the command, leaves it created but empty.  Number params reach
+    the command as ``Fraction``s (see ``_exact``).  The payload is the
     command's, with its name under ``command``.
     """
     if config.command not in _DISPATCH:
         raise FormatError(f"unknown command {config.command!r}")
-    for name, path in config.outputs.items():
-        if name != "json":
-            raise FormatError(f"unknown output kind {name!r}")
-        if not isinstance(path, str):
-            raise FormatError(f"output {name!r} must be a path string, got {path!r}")
-        if Path(path).is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not Path(path).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if not hgr.is_json_int(config.seed) or config.seed < 0:
         raise FormatError(f"seed must be a JSON integer of at least 0, got {config.seed!r}")
     required, optional = _PARAMS[config.command]
@@ -414,7 +434,23 @@ def run(config: ExperimentConfig) -> ResultRecord:
     for name, value in params.items():
         if kinds[name] == "number" and value is not None:
             params[name] = _exact(config.command, name, value)
+    for name, path in config.outputs.items():
+        if (config.command, name) not in _OUTPUTS:
+            raise FormatError(f"unknown {config.command} output kind {name!r}")
+        if not isinstance(path, str):
+            raise FormatError(f"output {name!r} must be a path string, got {path!r}")
+        if name == "hgr_dir":
+            Path(path).mkdir(parents=True, exist_ok=True)
+        elif Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        elif not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     payload = {"command": config.command, **_DISPATCH[config.command](params, config.seed)}
-    if "json" in config.outputs:
-        Path(config.outputs["json"]).write_text(canonical_json(payload))
+    for name, path in config.outputs.items():
+        out = _OUTPUTS[config.command, name](payload)
+        if name == "hgr_dir":
+            for file, text in out.items():
+                (Path(path) / file).write_text(text)
+        else:
+            Path(path).write_text(out)
     return ResultRecord({"payload": payload})

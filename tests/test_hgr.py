@@ -52,6 +52,11 @@ def test_edge_set_rules_are_rgraphs():
         hgr.from_json_obj({"r": 2, "n": 3, "edges": [[0, 1], [1, 0]]})
     with pytest.raises(FormatError, match="not a set of 3 distinct vertices"):
         hgr.loads("3 4 1\n0 1\n")
+    # a 1-uniform graph is no RGraph, in either format
+    with pytest.raises(FormatError, match="uniformity must be >= 2, got 1"):
+        hgr.loads("1 3 2\n0\n2\n")
+    with pytest.raises(FormatError, match="uniformity must be >= 2, got 1"):
+        hgr.from_json_obj({"r": 1, "n": 3, "edges": [[0], [2]]})
 
 
 @pytest.mark.parametrize("v, ok", [(0, True), (-3, True), (True, False), (False, False),

@@ -156,6 +156,13 @@ def test_budget(monkeypatch):
         enumerate_rgraphs(5, 3)
 
 
+@pytest.mark.parametrize("n, r", [(-1, 2), (-3, 3), (3, 1), (0, 0)])
+def test_negative_n_or_r_below_2_refused_by_name(n, r):
+    with pytest.raises(ValueError, match=f"n >= 0 and r >= 2, got n={n}, r={r}"):
+        enumerate_rgraphs(n, r)
+    assert enumerate_rgraphs(0, 2) == [RGraph(2, 0, ())]
+
+
 def test_triangle_free_enumeration_counts():
     k3 = single_graph(cons.complete_graph(3))
     counts = [

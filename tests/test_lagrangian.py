@@ -49,7 +49,7 @@ class TestSimplexPoint:
                 SimplexPoint(weights)
             w = weights if len(weights) > 1 else weights + (0.0,)
             with pytest.raises(ValueError):
-                maclaurin_residual(len(w), 2, w)  # through _check_on_simplex
+                maclaurin_residual(len(w), 2, w)  # through its simplex check
 
 
 class TestEvaluate:

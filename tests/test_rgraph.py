@@ -54,6 +54,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RGraph(2, 3, ((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("r", [1, 0, -1])
+    def test_rejects_uniformity_below_2(self, r):
+        with pytest.raises(ValueError, match=f"uniformity must be >= 2, got {r}"):
+            RGraph(r, 3, ())
+
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
             RGraph(2, 65, ())
@@ -78,7 +83,12 @@ class TestLink:
         with pytest.raises(ValueError):
             link(T3, 5)
 
-    @given(rgraphs())
+    def test_a_graph_has_no_link(self):
+        # it would be 1-uniform
+        with pytest.raises(ValueError, match="uniformity must be >= 2, got 1"):
+            link(cycle(5), 0)
+
+    @given(rgraphs(uniformities=(3,)))
     def test_link_consistency(self, h):
         for v in range(h.n):
             lk = link(h, v)

@@ -256,6 +256,18 @@ class TestBothRoutes:
         with pytest.raises(ValueError, match="must be >= 1, got 0"):
             ex(7, K4FAM, "patterns", p_max=0)
 
+    @pytest.mark.parametrize("method, message", [
+        ("patterns", "vertex count n must be >= 0, got -1"),
+        ("both", "vertex count n must be >= 0, got -1"),  # the pattern route runs first
+        ("brute", "n >= 0 and r >= 2, got n=-1, r=2"),
+    ])
+    def test_negative_n_refused_by_name(self, method, message):
+        # the pattern route used to answer 0 and the brute force to fail in math.comb
+        with pytest.raises(ValueError, match=message):
+            ex(-1, K3FAM, method)
+        with pytest.raises(ValueError, match="got -2"):
+            ex_via_patterns(-2, SIGMA3)
+
     def test_capped_pattern_route_is_a_lower_bound(self):
         assert ex(7, K4FAM, "patterns", p_max=2).value == 12 < ex(7, K4FAM).value == 16
 

@@ -476,6 +476,37 @@ class TestCli:
         assert res.output == "error: family 'sigma:3' has r = 3, not r = 2\n"
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["ex", "--n", "-1", "--family", "k3", "--method", "patterns"],
+         "vertex count n must be >= 0, got -1"),
+        (["ex", "--n", "-2", "--family", "k3"], "vertex count n must be >= 0, got -2"),
+        (["enum", "--n", "-1", "--r", "2"], "enumeration needs n >= 0 and r >= 2, got n=-1, r=2"),
+        (["scan", "--family", "k3", "--class", "bipartite", "--n", "-3..2", "--eps", "0.1"],
+         "enumeration needs n >= 0 and r >= 2, got n=-3, r=2"),
+        (["enum", "--n", "3", "--r", "1"], "enumeration needs n >= 0 and r >= 2, got n=3, r=1"),
+    ], ids=["ex-patterns", "ex-both", "enum-n", "scan", "enum-r"])
+    def test_negative_n_or_r_below_2_exit_2(self, runner, args, message):
+        # ex --method patterns used to answer 0 here, the rest to fail in math.comb
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args", [["complete", "3", "1"], ["turanr", "3", "2", "1"],
+                                      ["hinge", "1", "3"], ["semibip", "1", "2", "1"]])
+    def test_make_refuses_a_1_uniform_graph(self, runner, tmp_path, args):
+        out = tmp_path / "g.hgr"
+        res = runner.invoke(main, ["make", *args, "-o", str(out)])
+        assert res.exit_code == 2
+        assert res.output == "error: uniformity must be >= 2, got 1\n"
+        assert not out.exists()
+
+    def test_a_1_uniform_file_exits_2(self, runner, tmp_path):
+        p = tmp_path / "g.hgr"
+        p.write_text("1 3 2\n0\n2\n")
+        res = runner.invoke(main, ["check", str(p), "--class", "bipartite"])
+        assert res.exit_code == 2
+        assert res.output == "error: uniformity must be >= 2, got 1\n"
+
     @pytest.mark.parametrize("n, parts", [(5, 2), (13, 3)])
     def test_negative_seed_exit_2(self, runner, tmp_path, n, parts):
         # 5 vertices enumerate supports and 13 run the seeded multistart ascent:
@@ -583,3 +614,94 @@ class TestFrontDoor:
         seed = 3 if command == "lagrangian" else 0
         run(ExperimentConfig(command, minimal, seed, {"json": str(tmp_path / "run.json")}))
         assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "run.json").read_bytes()
+
+
+# the output kinds that name one file besides json (TestRun covers it), each
+# with a command that takes it
+FILE_OUTPUTS = [("csv", "scan"), ("hgr", "symmetrize")]
+
+
+class TestOutputs:
+    """``run`` is the one writer of every output file: it tries each path
+    before the command runs and writes the same bytes as the CLI."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        # every command records its params, does no work and finds no graphs
+        calls = []
+        for command in _DISPATCH:
+            monkeypatch.setitem(_DISPATCH, command,
+                                lambda p, seed: calls.append(p) or {"witnesses": [], "graphs": []})
+        return calls
+
+    @pytest.mark.parametrize("kind, command", FILE_OUTPUTS)
+    def test_unusable_file_path_refused_before_the_command_runs(self, calls, tmp_path, kind,
+                                                                command):
+        # the errors writing the file after the work would raise
+        (tmp_path / "f").write_text("")
+        minimal = FRONT_DOOR[command][1]
+        for path, error in ((tmp_path / "f" / "out", FileNotFoundError),  # a file as its directory
+                            (tmp_path / "missing" / "out", FileNotFoundError),
+                            (tmp_path, IsADirectoryError)):  # a directory as the file
+            with pytest.raises(error, match=re.escape(repr(str(path)))):
+                run(ExperimentConfig(command, minimal, outputs={kind: str(path)}))
+        assert calls == []
+        assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", ["ex", "enum"])
+    def test_unusable_hgr_dir_refused_before_the_command_runs(self, calls, tmp_path, command):
+        # the errors the directory's mkdir after the work raised
+        (tmp_path / "f").write_text("")
+        minimal = FRONT_DOOR[command][1]
+        for path, error in ((tmp_path / "f", FileExistsError),  # a file as the directory
+                            (tmp_path / "f" / "sub", NotADirectoryError)):  # a file as its parent
+            with pytest.raises(error, match=re.escape(repr(str(path)))):
+                run(ExperimentConfig(command, minimal, outputs={"hgr_dir": str(path)}))
+        assert calls == []
+        # a directory is what it asks for, and a missing parent is made with it
+        run(ExperimentConfig(command, minimal, outputs={"hgr_dir": str(tmp_path / "a" / "b")}))
+        run(ExperimentConfig(command, minimal, outputs={"hgr_dir": str(tmp_path)}))
+        assert len(calls) == 2 and (tmp_path / "a" / "b").is_dir()
+
+    @pytest.mark.parametrize("command, kind", [("ex", "csv"), ("enum", "hgr"),
+                                               ("scan", "hgr_dir"), ("check", "csv")])
+    def test_a_kind_the_command_does_not_take_is_refused(self, calls, tmp_path, command, kind):
+        cfg = ExperimentConfig(command, FRONT_DOOR[command][1],
+                               outputs={kind: str(tmp_path / "out")})
+        with pytest.raises(FormatError, match=f"unknown {command} output kind '{kind}'"):
+            run(cfg)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_refusal_by_the_command_leaves_the_hgr_dir_empty(self, tmp_path):
+        out = tmp_path / "missing" / "graphs"
+        cfg = ExperimentConfig("enum", {"n": 5, "r": 2, "family": "sigma:3"},
+                               outputs={"hgr_dir": str(out)})
+        with pytest.raises(FormatError, match="has r = 3, not r = 2"):
+            run(cfg)
+        assert out.is_dir() and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("args, command, params, outputs", [
+        (["ex", "--n", "7", "--family", "k4", "--json", "{d}/ex.json", "--witness-dir", "{d}/wit"],
+         "ex", {"n": 7, "family": "k4"}, {"json": "ex.json", "hgr_dir": "wit"}),
+        (["scan", "--family", "k3", "--class", "bipartite", "--kind", "vertex", "--n", "5..6",
+          "--eps", "0.1", "--delta", "0.1", "--json", "{d}/scan.json", "--csv", "{d}/scan.csv"],
+         "scan", {"family": "k3", "class": "bipartite", "kind": "vertex", "n_lo": 5, "n_hi": 6,
+                  "eps": 0.1, "delta": 0.1}, {"json": "scan.json", "csv": "scan.csv"}),
+    ], ids=["ex", "scan"])
+    def test_a_replayed_config_writes_every_file_the_cli_wrote(self, runner, tmp_path, args,
+                                                               command, params, outputs):
+        cli, replay = tmp_path / "cli", tmp_path / "replay"
+        cli.mkdir()
+        replay.mkdir()
+        res = runner.invoke(main, [a.replace("{d}", str(cli)) for a in args])
+        assert res.exit_code == 0, res.output
+        run(ExperimentConfig(command, params,
+                             outputs={kind: str(replay / p) for kind, p in outputs.items()}))
+        files = sorted(p.relative_to(cli) for p in cli.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(replay) for p in replay.rglob("*") if p.is_file())
+        assert len(files) >= len(outputs)
+        for f in files:
+            # a witness has edges and the table has rows
+            assert len((cli / f).read_text().splitlines()) > 1
+            assert (cli / f).read_bytes() == (replay / f).read_bytes()

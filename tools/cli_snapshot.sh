@@ -233,6 +233,12 @@ fail check-dir-input check . --class bipartite
 fail check-dir-json check c5.hgr --class bipartite --json .
 # so is an output path in no directory, before the command runs
 fail ex-json-missing-dir ex --n 8 --family sigma:3 --json missing/x.json
+# every other output path too: a file where a directory should be, or a missing directory
+fail ex-witness-dir-file ex --n 8 --family sigma:3 --witness-dir c5.hgr
+fail enum-outdir-file enum --n 8 --r 2 -o c5.hgr
+fail scan-csv-missing-dir scan --family k3 --class bipartite --n 4..6 --eps 0.1 \
+  --csv missing/x.csv
+fail sym-out-missing-dir symmetrize k4free12.hgr --family k4 -o missing/x.hgr
 # a family whose uniformity is not the command's r or the class's, before any work
 fail enum-family-r enum --n 5 --r 2 --family sigma:3 --json enum-family-r.json
 fail scan-family-class-r scan --family k3 --class krl:3:3 --n 5..6 --eps 0 --expect-clean
