@@ -7,12 +7,15 @@ inside ``maximize``.  Exact arithmetic is used automatically when the input
 weights are Fractions or ints, which is how the blowup identity is checked
 without tolerances.
 
-The maximizer is honest about its limits: for at most ``SUPPORT_LIMIT``
-vertices (or more, when asked for ``all_supports``) it enumerates the supports
-in which every pair of vertices lies in an edge inside the support
-(Frankl–Rödl) and runs a projected-gradient ascent on each (certificate gap 0
-when every inner problem converged), beyond that it falls back to seeded
-multistart ascent and reports the complete-graph value as the remaining gap.
+The maximizer is exact for graphs and honest about its limits past them.
+For r = 2 it takes the Motzkin–Straus value (1 - 1/omega)/2 on a maximum
+clique from ``rgraph.max_clique``, with no float search.  For r >= 3 and at
+most ``SUPPORT_LIMIT`` vertices (or more, when asked for ``all_supports``) it
+enumerates the supports in which every pair of vertices lies in an edge
+inside the support (Frankl–Rödl) and runs a projected-gradient ascent on each
+(certificate gap 0 when every inner problem converged), beyond that it falls
+back to seeded multistart ascent and reports the complete-graph value as the
+remaining gap.
 An ascent that has not converged after ``DROP_AFTER`` steps drops its
 vanishing coordinates (weight below ``DROP_WEIGHT``, partial at most the mean)
 each step, so it reaches an optimum on a face instead of crawling towards it;
@@ -25,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, inf, isfinite, prod, sqrt
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import Meter
-from .rgraph import RGraph, mask_to_tuple
+from .rgraph import RGraph, mask_to_tuple, max_clique
 
 SIMPLEX_TOL = 1e-12
 ASCENT_TOL = 1e-10  # the ascent stops once its projected gradient is this short
@@ -57,9 +60,10 @@ class SimplexPoint:
 class LagrangianResult:
     value: float
     maximizer: SimplexPoint
-    method: str  # "support-enumeration" | "multistart-ascent"
+    method: str  # "motzkin-straus" | "support-enumeration" | "multistart-ascent"
     gap: float
     converged: bool
+    exact: Optional[Fraction] = None  # the value as a fraction, for graphs
 
 
 def _weights(x, n: int) -> Sequence:
@@ -257,6 +261,32 @@ def maximize(
 ) -> LagrangianResult:
     """Best simplex value found for the edge polynomial of ``g``.
 
+    For a graph the value is exact: by Motzkin and Straus (1965) it is
+    (1 - 1/omega)/2 for the clique number omega, attained by the uniform
+    point on a maximum clique.  The result is that point on the first maximum
+    clique ``rgraph.max_clique`` finds, its value as ``exact`` and as the
+    nearest float, with gap 0; ``restarts``, ``seed`` and ``all_supports``
+    steer only the float search of ``_float_maximize``, which runs for
+    r >= 3.  ``restarts`` below 1 raises ``ValueError`` for every r.
+    """
+    m = g.n
+    if m < 1:
+        raise ValueError("maximize needs at least one vertex")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if g.r != 2:
+        return _float_maximize(g, restarts, seed, all_supports)
+    clique = max_clique(g, (1 << m) - 1)
+    omega = clique.bit_count()
+    exact = Fraction(omega - 1, 2 * omega)
+    point = SimplexPoint(tuple(1 / omega if clique >> v & 1 else 0.0 for v in range(m)))
+    return LagrangianResult(float(exact), point, "motzkin-straus", 0.0, True, exact)
+
+
+def _float_maximize(g: RGraph, restarts: int, seed: int, all_supports: bool) -> LagrangianResult:
+    """The float search of ``maximize``, for any r; for graphs the tests'
+    oracle.
+
     The uniform point and all unit vectors are always evaluated, so the result
     dominates both.  Support enumeration ascends only the supports S in which
     every pair of vertices lies in a common edge inside S, in increasing mask
@@ -274,15 +304,10 @@ def maximize(
     subsets of ``g``, which count against ``CAPS["support subsets"]`` before
     the walk starts.  Otherwise ``restarts`` seeded ascents start from random
     points, and the gap is the distance from the best value to the
-    complete-graph value; ``restarts`` below 1 raises ``ValueError``.  The
-    gradient steps of every ascent count against ``CAPS["ascent steps"]``;
-    past either cap the call raises ``BudgetError``.
+    complete-graph value.  The gradient steps of every ascent count against
+    ``CAPS["ascent steps"]``; past either cap the call raises ``BudgetError``.
     """
     m = g.n
-    if m < 1:
-        raise ValueError("maximize needs at least one vertex")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
     meter = Meter("ascent steps")
     edges = [(mk, mask_to_tuple(mk)) for mk in g.edge_masks]
     E = _edge_array(g)

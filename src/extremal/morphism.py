@@ -9,11 +9,14 @@ as a member list is only done where an independent check demands it.
 
 Embeddings, homomorphisms and weak expansions share one backtracking engine
 (``_maps``) over a plan compiled once per pattern, with one candidate bitmask
-per depth.  For an explicit family, ``is_free(h, fam, through=e)`` searches
-only copies that use the edge ``e``, mapping each member edge onto it in turn.
-That suffices when ``h`` minus ``e`` is known to be free: so it is for every
-child in enumeration by one-step augmentation.  The named detectors always
-scan the whole graph.
+per depth.  The one exception is freeness of a complete graph K_k, a question
+of clique number that ``is_free`` hands to ``rgraph.max_clique``: the host is
+K_k-free exactly when it has no k-clique.  For an explicit family,
+``is_free(h, fam, through=e)`` searches only copies that use the edge ``e``,
+mapping each member edge onto it in turn (for K_k, a (k-2)-clique among the
+common neighbours of ``e``).  That suffices when ``h`` minus ``e`` is known
+to be free: so it is for every child in enumeration by one-step
+augmentation.  The named detectors always scan the whole graph.
 
 ``free_representatives(n, fam)`` is the one source of family-free graphs:
 the isomorph-free enumeration pruned by that rooted check and by the exact
@@ -34,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetError, Meter
 from .isomorphism import canonical_form, enumerate_rgraphs
-from .rgraph import RGraph, induced, is_two_covered, mask_of, mask_to_tuple
+from .rgraph import RGraph, induced, is_two_covered, mask_of, mask_to_tuple, max_clique
 
 EXPLICIT = "explicit"
 GEN_TRIANGLE = "generalized-triangle"
@@ -292,7 +295,22 @@ def is_free(h: RGraph, fam: FamilySpec, *, through: int = 0) -> bool:
         return find_cancellative_violation(h) is None
     if fam.kind == WEAK_EXPANSION:
         return find_weak_expansion(h, fam.base) is None
-    return all(contains_subgraph(h, f, through=through) is None for f in fam.members)
+    return not any(_has_copy(h, f, through) for f in fam.members)
+
+
+def _has_copy(h: RGraph, f: RGraph, through: int) -> bool:
+    """Whether ``f`` embeds into ``h`` (through the edge ``through``, if set).
+    A complete graph K_k with k >= 2 embeds exactly where k vertices are
+    pairwise adjacent, and through the edge uv exactly where k - 2 common
+    neighbours of u and v are."""
+    k = f.n
+    if f.r != 2 or k < 2 or len(f.edges) != comb(k, 2):
+        return contains_subgraph(h, f, through=through) is not None
+    cand = (1 << h.n) - 1
+    if through:
+        u, v = mask_to_tuple(through)
+        cand, k = h.covered_adj[u] & h.covered_adj[v], k - 2
+    return k == 0 or max_clique(h, cand, k - 1, k) != 0
 
 
 def free_representatives(

@@ -216,6 +216,50 @@ def pair_covered(h: RGraph, u: int, v: int) -> bool:
     return bool((h.covered_adj[u] >> v) & 1)
 
 
+def max_clique(h: RGraph, cand: int, beat: int = 0, stop: int = MAX_VERTICES) -> int:
+    """The first largest set of pairwise covered vertices inside the mask
+    ``cand`` (for graphs, a maximum clique), as a mask, if it has more than
+    ``beat`` vertices; else 0.  With ``stop`` above ``beat``, the search
+    returns the first such set with at least ``stop`` vertices as soon as it
+    finds one.
+
+    Branch and bound on the ``covered_adj`` bitmasks (Carraghan and Pardalos,
+    1990) with the greedy-colouring bound of Tomita and Seki (2003): the
+    candidates are coloured greedily, each colour class pairwise uncovered,
+    and taken in reverse colour order, so a candidate of colour c cannot
+    extend the current set by more than c vertices.
+    """
+    adj = h.covered_adj
+    best, size_to_beat = 0, beat
+
+    def expand(clique: int, size: int, cand: int) -> None:
+        nonlocal best, size_to_beat
+        order = []  # (vertex, colour), colours nondecreasing
+        rest, colour = cand, 0
+        while rest:
+            colour += 1
+            free = rest
+            while free:
+                low = free & -free
+                v = low.bit_length() - 1
+                order.append((v, colour))
+                rest ^= low
+                free &= ~low & ~adj[v]
+        for v, colour in reversed(order):
+            if size + colour <= size_to_beat or size_to_beat >= stop:
+                return
+            low = 1 << v
+            inner = cand & adj[v]
+            if inner:
+                expand(clique | low, size + 1, inner)
+            elif size + 1 > size_to_beat:
+                best, size_to_beat = clique | low, size + 1
+            cand ^= low
+
+    expand(0, 0, cand)
+    return best
+
+
 def equivalence_classes(h: RGraph) -> VertexPartition:
     """Partition vertices into maximal classes with identical links.
 

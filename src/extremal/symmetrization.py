@@ -223,6 +223,8 @@ def ex_via_patterns(n: int, fam: FamilySpec, p_max: Optional[int] = None) -> ExR
     patterns = two_covered_free_patterns(fam, p_cap)
     best_val = 0
     best: list[tuple[int, RGraph, tuple[int, ...]]] = []
+    if n == 0:  # no pattern blows up to the one graph on 0 vertices, the empty one
+        best.append((0, RGraph(fam.r, 0, ()), ()))
     meter = Meter("compositions")
     for i, pat in enumerate(patterns):
         meter.tick(comb(n - 1, pat.n - 1))

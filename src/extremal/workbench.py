@@ -186,7 +186,7 @@ def op_ex(p: dict, seed: int) -> dict:
 def op_lagrangian(p: dict, seed: int) -> dict:
     g = hgr.load(p["input"])
     res = maximize(g, restarts=p["restarts"], seed=seed, all_supports=p["supports"])
-    return {
+    out = {
         "input": p["input"],
         "value": res.value,
         "method": res.method,
@@ -194,6 +194,9 @@ def op_lagrangian(p: dict, seed: int) -> dict:
         "converged": res.converged,
         "maximizer": list(res.maximizer.weights),
     }
+    if res.exact is not None:
+        out["exact"] = str(res.exact)  # a fraction string, such as "1/3"
+    return out
 
 
 def op_symmetrize(p: dict, seed: int) -> dict:
@@ -444,7 +447,10 @@ def run(config: ExperimentConfig) -> ResultRecord:
         elif Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         elif not Path(path).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+            # as opening it would: under a file ENOTDIR, under a missing directory ENOENT
+            above = next((a for a in Path(path).parents if a.exists()), None)
+            code = errno.ENOENT if above is None or above.is_dir() else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), path)
     payload = {"command": config.command, **_DISPATCH[config.command](params, config.seed)}
     for name, path in config.outputs.items():
         out = _OUTPUTS[config.command, name](payload)

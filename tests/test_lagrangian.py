@@ -13,6 +13,7 @@ from extremal.isomorphism import canonical_form
 from extremal.lagrangian import (
     SimplexPoint,
     _ascent,
+    _float_maximize,
     _poly,
     _poly_grad,
     evaluate,
@@ -143,9 +144,10 @@ def _loop_projection(v):
 
 
 def _ascent_cases(all_graphs_upto_7, all_3graphs_upto_6):
-    """(graph or None, edge array, start) for every ascent that ``maximize``
-    runs on the graphs of TestPairCoveredSupports, then seeded Dirichlet
-    starts on random 2- and 3-graphs with 13-16 vertices (graph None)."""
+    """(graph or None, edge array, start) for every ascent that the float
+    walk of ``maximize`` runs on the graphs of TestPairCoveredSupports, then
+    seeded Dirichlet starts on random 2- and 3-graphs with 13-16 vertices
+    (graph None)."""
     graphs = [g for n in range(1, 7) for g in all_graphs_upto_7[n]]
     graphs += [g for n in range(1, 6) for g in all_3graphs_upto_6[n]]
     cases = []
@@ -159,7 +161,7 @@ def _ascent_cases(all_graphs_upto_7, all_3graphs_upto_6):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lagrangian, "_ascent", record)
         for g in graphs:
-            maximize(g)
+            _float_maximize(g, 64, 0, False)
     rng = random.Random(11)
     gen = np.random.default_rng(11)
     for m in range(13, 17):
@@ -282,10 +284,10 @@ class TestMaximize:
 
     def test_edgeless_multistart(self):
         # 13 vertices is past the support limit: every start ascends a zero polynomial
-        res = maximize(RGraph(2, 13, ()), restarts=4)
+        res = maximize(RGraph(3, 13, ()), restarts=4)
         assert res.method == "multistart-ascent"
         assert res.value == 0.0 and res.converged
-        assert res.gap == 6 / 13  # C(13, 2) / 13^2 - 0
+        assert res.gap == 286 / 2197  # C(13, 3) / 13^3 - 0
 
     def test_value_matches_maximizer(self):
         res = maximize(cons.turan_rgraph(6, 3, 3))
@@ -310,12 +312,14 @@ class TestMaximize:
 
     def test_all_supports_refused_past_the_budget(self, monkeypatch):
         monkeypatch.setitem(errors.CAPS, "support subsets", 2**3 - 1)
-        assert maximize(cons.complete_graph(3), all_supports=True).gap == 0
+        assert maximize(cons.complete_rgraph(3, 3), all_supports=True).gap == 0
         with pytest.raises(BudgetError, match="15 support subsets past the cap of 7"):
-            maximize(cons.complete_graph(4), all_supports=True)
+            maximize(cons.complete_rgraph(4, 3), all_supports=True)
         # below SUPPORT_LIMIT the walk runs unasked, and it counts all the same
         with pytest.raises(BudgetError, match="15 support subsets"):
-            maximize(cons.complete_graph(4))
+            maximize(cons.complete_rgraph(4, 3))
+        # graphs take no support walk
+        assert maximize(cons.complete_graph(4), all_supports=True).method == "motzkin-straus"
 
     def test_ascent_steps_refused_past_the_budget(self, monkeypatch):
         # the ascent on the support {0..4} stalls towards the face x_4 = 0 and
@@ -330,18 +334,25 @@ class TestMaximize:
     @pytest.mark.parametrize("restarts", [0, -5])
     def test_restarts_below_one_refused(self, restarts):
         # 13 vertices run multistart ascent, which would report that no
-        # ascent failed to converge although none ran
-        with pytest.raises(ValueError, match="restarts must be >= 1"):
-            maximize(cons.turan_graph(13, 3), restarts=restarts)
+        # ascent failed to converge although none ran; graphs run none, and
+        # are refused all the same
+        for g in (cons.turan_rgraph(13, 3, 3), cons.turan_graph(13, 3)):
+            with pytest.raises(ValueError, match="restarts must be >= 1"):
+                maximize(g, restarts=restarts)
+
+    def test_no_vertex_refused(self):
+        for r in (2, 3):
+            with pytest.raises(ValueError, match="at least one vertex"):
+                maximize(RGraph(r, 0, ()))
 
     def test_multistart_path(self):
         g = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
-            cons.complete_graph(3), [5, 5, 3]
+            cons.complete_rgraph(3, 3), [5, 5, 3]
         )
         res = maximize(g, seed=1)
         assert res.method == "multistart-ascent"
-        assert res.value <= float(lambda_complete(13, 2))
-        assert abs(res.value - 1 / 3) <= 1e-6  # blowup of K3 keeps its value
+        assert res.value <= float(lambda_complete(13, 3))
+        assert abs(res.value - 1 / 27) <= 1e-6  # blowup of one triple keeps its value
 
 
 def _reference_ascent(E, x0, meter):
@@ -409,12 +420,17 @@ def _every_support_maximize(g):
 
 
 def _clique_number(g):
-    return max(
-        k
-        for k in range(1, g.n + 1)
-        for c in itertools.combinations(range(g.n), k)
-        if all(p in g.edges for p in itertools.combinations(c, 2))
-    )
+    """The largest size over every clique of the graph ``g``, each listed once
+    in increasing vertex order, with no bound."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def grow(size, cands):
+        return max([size] + [grow(size + 1, {w for w in cands & adj[v] if w > v}) for v in cands])
+
+    return grow(0, set(range(g.n)))
 
 
 class TestPairCoveredSupports:
@@ -422,25 +438,76 @@ class TestPairCoveredSupports:
         """Ascending only the pair-covered supports gives what ascending every
         support with an edge by the reference ascent gives, on every class of
         2-graphs with at most 6 vertices and of 3-graphs with at most 5; for
-        2-graphs that is the Motzkin-Straus value (1 - 1/omega)/2.  The
-        reference ascent converges everywhere but on the capped class, whose
-        optimum face dropping reaches exactly."""
+        2-graphs that is the Motzkin-Straus value (1 - 1/omega)/2, which
+        ``maximize`` takes without the walk.  The reference ascent converges
+        everywhere but on the capped class, whose optimum face dropping
+        reaches exactly."""
         cases = [g for n in range(1, 7) for g in all_graphs_upto_7[n]]
         cases += [g for n in range(1, 6) for g in all_3graphs_upto_6[n]]
         assert len(cases) == (1 + 2 + 4 + 11 + 34 + 156) + (1 + 1 + 2 + 5 + 34)
         unconverged = []
         for g in cases:
-            res = maximize(g)
+            walk = _float_maximize(g, 64, 0, False)
             value, converged, gap = _every_support_maximize(g)
+            assert abs(walk.value - value) <= 1e-12, g.edges
+            assert (walk.method, walk.converged, walk.gap) == ("support-enumeration", True, 0.0)
+            res = maximize(g)
             assert abs(res.value - value) <= 1e-12, g.edges
             assert (res.converged, res.gap) == (True, 0.0), g.edges
-            assert res.method == "support-enumeration"
-            if not converged:
-                unconverged.append(g)
             if g.r == 2:
+                assert res.method == "motzkin-straus"
                 motzkin_straus = (1 - 1 / _clique_number(g)) / 2
                 assert abs(res.value - motzkin_straus) <= 1e-12, g.edges
+            else:
+                assert res == walk
+            if not converged:
+                unconverged.append(g)
         assert [canonical_form(g) for g in unconverged] == [canonical_form(RGraph(3, 5, CAPPED))]
+
+
+def _assert_motzkin_straus(g, res, omega):
+    """``res`` is the exact graph result: value, fraction, gap 0, converged,
+    and the uniform point on an omega-clique."""
+    exact = Fraction(omega - 1, 2 * omega)
+    assert (res.exact, res.value) == (exact, float(exact)), g.edges
+    assert (res.method, res.gap, res.converged) == ("motzkin-straus", 0.0, True)
+    support = [v for v, w in enumerate(res.maximizer.weights) if w]
+    assert len(support) == omega and all(w in (0.0, 1 / omega) for w in res.maximizer.weights)
+    assert all(g.has_edge(p) for p in itertools.combinations(support, 2)), g.edges
+
+
+class TestMotzkinStraus:
+    def test_exact_on_all_graphs(self, all_graphs_upto_7):
+        for n, graphs in all_graphs_upto_7.items():
+            for g in graphs:
+                _assert_motzkin_straus(g, maximize(g), _clique_number(g))
+
+    def test_at_least_the_float_walk_on_benchmark_sized_graphs(self):
+        """Graphs drawn like the multistart strata of the benchmark's
+        ``lagrangian`` workload (13-20 vertices, densities 0.3, 0.5 and 0.7,
+        16 restarts): the exact value is at least what the float walk finds."""
+        rng = random.Random(20)
+        for i in range(24):
+            m, density = 13 + i % 8, (0.3, 0.5, 0.7)[i // 8]
+            g = random_rgraph(rng, m, 2, density)
+            res = maximize(g, restarts=16, seed=i)
+            walk = _float_maximize(g, 16, i, False)
+            assert walk.method == "multistart-ascent"
+            assert res.value >= walk.value - 1e-9, g.edges
+            omega = sum(w > 0 for w in res.maximizer.weights)
+            _assert_motzkin_straus(g, res, omega)
+            assert omega == _clique_number(g)
+
+    def test_payload_carries_the_exact_value_for_graphs_only(self, tmp_path):
+        from extremal import hgr
+        from extremal.workbench import ExperimentConfig, run
+
+        for name, g, exact in (("k3", cons.complete_graph(3), "1/3"),
+                               ("empty", RGraph(2, 4, ()), "0"),
+                               ("k43", cons.complete_rgraph(4, 3), None)):
+            hgr.dump(g, tmp_path / f"{name}.hgr")
+            payload = run(ExperimentConfig("lagrangian", {"input": str(tmp_path / f"{name}.hgr")}))
+            assert payload.outputs["payload"].get("exact") == exact
 
 
 class TestFaceDropping:

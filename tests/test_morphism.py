@@ -481,6 +481,29 @@ def test_rooted_freeness_matches_full(name):
     assert checked > 0
 
 
+def test_clique_route_matches_the_engine(all_graphs_upto_7):
+    """``is_free`` decides K2-K5 by clique number and ``contains_subgraph``
+    by the embedding engine: they agree on every graph with at most 7
+    vertices, on the whole graph and rooted at each of its edges."""
+    checked = 0
+    for k in range(2, 6):
+        kk = cons.complete_graph(k)
+        fam = single_graph(kk)
+        for n, graphs in all_graphs_upto_7.items():
+            for g in graphs:
+                for through in (0, *g.edge_masks):
+                    free = contains_subgraph(g, kk, through=through) is None
+                    assert is_free(g, fam, through=through) == free, (k, g.edges, through)
+                    checked += 1
+    assert checked == 4 * sum(1 + len(g.edges) for gs in all_graphs_upto_7.values() for g in gs)
+
+
+def test_k8_freeness_of_the_7_partite_turan_graph():
+    # the engine walks every K7 of T(18, 7); the colouring bound proves omega = 7 at once
+    assert is_free(cons.turan_graph(18, 7), single_graph(cons.complete_graph(8)))
+    assert not is_free(cons.turan_graph(18, 8), single_graph(cons.complete_graph(8)))
+
+
 def test_rooted_search_only_finds_copies_through_the_edge():
     host = cons.complete_graph(5)
     assert contains_subgraph(host, K3, through=mask_of((0, 1))) is not None

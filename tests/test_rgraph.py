@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from extremal.rgraph import (
     is_symmetrized,
     is_two_covered,
     link,
+    max_clique,
     pair_covered,
     shadow,
 )
@@ -273,3 +275,50 @@ class TestVertexPartition:
     def test_empty_classes_allowed(self):
         p = VertexPartition(3, (0, 0))
         assert p.classes == ((0, 1), (), ())
+
+
+def _clique_numbers(g: RGraph) -> list[int]:
+    """omega of the subgraph induced on each vertex mask, by brute force over
+    all 2^n masks: a largest clique in a mask either avoids its least vertex
+    v or is v plus a clique among the neighbours of v in the mask."""
+    omega = [0] * (1 << g.n)
+    for mask in range(1, 1 << g.n):
+        low = mask & -mask
+        rest = mask ^ low
+        omega[mask] = max(omega[rest], 1 + omega[rest & g.covered_adj[low.bit_length() - 1]])
+    return omega
+
+
+class TestMaxClique:
+    def test_against_brute_force_on_all_graphs(self, all_graphs_upto_7):
+        """On every class of graphs with at most 8 vertices: the whole vertex
+        set gives a maximum clique, and a random candidate mask, size to beat
+        and stopping size above it give a clique inside the mask with more vertices
+        than the size to beat, at least the stopping size or omega of the
+        mask, or 0 when omega of the mask is at most the size to beat."""
+        from extremal.isomorphism import enumerate_rgraphs
+
+        rng = random.Random(8)
+        graphs = [g for n in all_graphs_upto_7 for g in all_graphs_upto_7[n]]
+        graphs += enumerate_rgraphs(8, 2)
+        assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156 + 1044 + 12346
+        for g in graphs:
+            omega = _clique_numbers(g)
+            full = (1 << g.n) - 1
+            beat = rng.randint(0, 3)
+            for cand, beat, stop in ((full, 0, 64),
+                                     (rng.getrandbits(g.n), beat, beat + rng.randint(1, 3))):
+                found = max_clique(g, cand, beat, stop)
+                if omega[cand] <= beat:
+                    assert found == 0, (g.edges, cand, beat)
+                    continue
+                size = found.bit_count()
+                assert found & ~cand == 0 and omega[found] == size, (g.edges, cand)
+                assert beat < size <= omega[cand] and size >= min(stop, omega[cand])
+            assert max_clique(g, full).bit_count() == omega[full]
+
+    def test_pairwise_covered_sets_of_3graphs(self):
+        # for r >= 3 the search finds pairwise covered vertices, which need not span edges
+        assert max_clique(T3, 0b11111) == 0b01111  # 0, 1, 2, 3: pairs 01 02 03 12 13 23 covered
+        assert max_clique(T3, 0b11111, 4) == 0
+        assert max_clique(RGraph(3, 4, ()), 0b1111) == 0b1000

@@ -299,3 +299,11 @@ class TestBothRoutes:
     def test_routes_give_the_same_witnesses(self, n, fam):
         # both routes emit each class in its certificate labeling
         assert ex_via_patterns(n, fam).witnesses == ex_bruteforce(n, fam).witnesses
+
+    @pytest.mark.parametrize("fam", [K3FAM, SIGMA3], ids=["k3", "sigma3"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_routes_agree_on_the_smallest_n(self, n, fam):
+        # at n = 0 no pattern blows up to the empty graph, which is still the one witness
+        results = [ex(n, fam, method) for method in ("brute", "patterns", "both")]
+        assert [(res.value, len(res.witnesses)) for res in results] == [(0, 1)] * 3
+        assert results[0].witnesses == results[1].witnesses == (RGraph(fam.r, n, ()),)

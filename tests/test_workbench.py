@@ -165,19 +165,6 @@ class TestRun:
                              outputs={"json": str(tmp_path / "r.json")}))
         assert len(calls) == 1
 
-    def test_unusable_output_path_refused_before_the_command_runs(self, monkeypatch, tmp_path):
-        # the error is the one writing the payload would raise, after the work
-        calls = []
-        monkeypatch.setitem(_DISPATCH, "enum", lambda p, seed: calls.append(p) or {})
-        (tmp_path / "f").write_text("")  # a file where a directory should be
-        for path, error in ((tmp_path, IsADirectoryError),
-                            (tmp_path / "missing" / "r.json", FileNotFoundError),
-                            (tmp_path / "f" / "r.json", FileNotFoundError)):
-            with pytest.raises(error, match=re.escape(repr(str(path)))):
-                run(ExperimentConfig("enum", {"n": 4, "r": 2}, outputs={"json": str(path)}))
-        assert calls == []
-        assert not (tmp_path / "missing").exists()
-
     def test_unknown_or_missing_params_refused_before_the_command_runs(self, monkeypatch):
         calls = []
         monkeypatch.setitem(_DISPATCH, "ex", lambda p, seed: calls.append(p) or {})
@@ -305,8 +292,9 @@ class TestCli:
 
     def test_lagrangian_supports_past_the_limit(self, runner, tmp_path):
         # 13 vertices: one more than SUPPORT_LIMIT, so only --supports enumerates
+        # (for r >= 3: graphs take the Motzkin-Straus value and no float search)
         p = tmp_path / "big.hgr"
-        hgr.dump(cons.turan_graph(13, 3), p)
+        hgr.dump(cons.turan_rgraph(13, 3, 3), p)
         payloads = []
         for flags in (["--supports"], []):
             res = runner.invoke(main, ["lagrangian", str(p), "--format", "json"] + flags)
@@ -315,8 +303,9 @@ class TestCli:
         enumerated, multistart = payloads
         assert enumerated["method"] == "support-enumeration"
         assert enumerated["gap"] == 0 and enumerated["converged"]
-        assert abs(enumerated["value"] - 1 / 3) <= 1e-9
+        assert abs(enumerated["value"] - 1 / 27) <= 1e-9
         assert multistart["method"] == "multistart-ascent" and multistart["gap"] > 0
+        assert "exact" not in enumerated and "exact" not in multistart
 
     def test_malformed_hgr_exit_2(self, runner, tmp_path):
         p = tmp_path / "bad.hgr"
@@ -509,8 +498,7 @@ class TestCli:
 
     @pytest.mark.parametrize("n, parts", [(5, 2), (13, 3)])
     def test_negative_seed_exit_2(self, runner, tmp_path, n, parts):
-        # 5 vertices enumerate supports and 13 run the seeded multistart ascent:
-        # both refuse the seed before any work
+        # both refuse the seed before any work, as every route of lagrangian does
         p = tmp_path / "g.hgr"
         hgr.dump(cons.turan_graph(n, parts), p)
         res = runner.invoke(main, ["--seed", "-1", "lagrangian", str(p)])
@@ -519,8 +507,9 @@ class TestCli:
 
     def test_determinism_fixed_seed(self, runner, tmp_path):
         p = tmp_path / "g.hgr"
+        # a 3-graph on 13 vertices, so the seed picks the multistart's starts
         g = __import__("extremal.rgraph", fromlist=["blowup"]).blowup(
-            cons.complete_graph(3), [5, 4, 4]
+            cons.complete_rgraph(3, 3), [5, 4, 4]
         )
         hgr.dump(g, p)
         outs = []
@@ -616,9 +605,8 @@ class TestFrontDoor:
         assert (tmp_path / "cli.json").read_bytes() == (tmp_path / "run.json").read_bytes()
 
 
-# the output kinds that name one file besides json (TestRun covers it), each
-# with a command that takes it
-FILE_OUTPUTS = [("csv", "scan"), ("hgr", "symmetrize")]
+# the output kinds that name one file, each with a command that takes it
+FILE_OUTPUTS = [("json", "enum"), ("csv", "scan"), ("hgr", "symmetrize")]
 
 
 class TestOutputs:
@@ -640,11 +628,15 @@ class TestOutputs:
         # the errors writing the file after the work would raise
         (tmp_path / "f").write_text("")
         minimal = FRONT_DOOR[command][1]
-        for path, error in ((tmp_path / "f" / "out", FileNotFoundError),  # a file as its directory
+        for path, error in ((tmp_path / "f" / "out", NotADirectoryError),  # a file as its directory
+                            (tmp_path / "f" / "sub" / "out", NotADirectoryError),  # or above it
                             (tmp_path / "missing" / "out", FileNotFoundError),
+                            (tmp_path / "missing" / "sub" / "out", FileNotFoundError),
                             (tmp_path, IsADirectoryError)):  # a directory as the file
             with pytest.raises(error, match=re.escape(repr(str(path)))):
                 run(ExperimentConfig(command, minimal, outputs={kind: str(path)}))
+            with pytest.raises(error):
+                path.write_text("")
         assert calls == []
         assert not (tmp_path / "missing").exists()
 

@@ -9,13 +9,14 @@
 #
 # The list covers every subcommand: the criterion-12 set of
 # tests/test_acceptance.py plus larger enumerations (3-graphs included),
-# Turan numbers by both routes and by each alone, degree scans (some where
-# the enumeration gates prune), vertex- and edge-deletion scans, both
-# symmetrization modes, the three Lagrangian routes and an ascent that
-# converges only by face dropping, the semibipartite and two-covered hull
-# classes, and scans at a sharp threshold; the --help text of the subcommands
-# whose option defaults come from workbench._PARAMS; and calls that must fail,
-# with their stderr and exit code kept too.
+# Turan numbers by both routes and by each alone (n = 0 and the K8 call on
+# 18 vertices among them), degree scans (some where the enumeration gates
+# prune), vertex- and edge-deletion scans, both symmetrization modes, the
+# three Lagrangian routes (the exact graph value checked inline) and an
+# ascent that converges only by face dropping, the semibipartite and
+# two-covered hull classes, and scans at a sharp threshold; the --help text
+# of the subcommands whose option defaults come from workbench._PARAMS; and
+# calls that must fail, with their stderr and exit code kept too.
 set -euo pipefail
 if [ $# -ne 1 ]; then
   echo "usage: $0 OUTDIR" >&2
@@ -93,6 +94,14 @@ run make-big make turan 13 3 -o big.hgr
 run check check c5.hgr --family k3 --class bipartite --json check.json
 run ex5 ex --n 5 --family k3 --json ex5.json --witness-dir wit5
 run lag-big --seed 11 lagrangian big.hgr --restarts 8 --json lag-big.json
+# a graph: the exact Motzkin-Straus value (1 - 1/omega)/2 for omega = 3
+python - lag-big.json <<'PY'
+import json, sys
+p = json.load(open(sys.argv[1]))
+if not (p["method"] == "motzkin-straus" and p["gap"] == 0 and p["converged"]
+        and p["exact"] == "1/3"):
+    sys.exit(f"lag-big: expected the exact value 1/3 by Motzkin-Straus, got {p}")
+PY
 run sym-c5 symmetrize c5.hgr --family k3 --mode vertex --trace sym-c5.json -o sym-c5.hgr
 run scan-k3 scan --family k3 --class bipartite --kind degree --n 4..6 --eps 0.1 \
   --json scan-k3.json --csv scan-k3.csv
@@ -128,6 +137,11 @@ run scan-k3-9 scan --family k3 --class bipartite --kind degree --n 5..9 --eps 0.
 run scan-k4-8 scan --family k4 --class krl:2:3 --kind degree --n 6..8 --eps 0.1 \
   --json scan-k4-8.json --csv scan-k4-8.csv
 run ex9-k3 ex --n 9 --family k3 --method both --json ex9-k3.json
+# the empty graph is the one witness at n = 0, by either route
+run ex0-k3-patterns ex --n 0 --family k3 --method patterns --json ex0-k3-patterns.json
+# K8-freeness of the witness T(18, 7), by clique number
+run ex18-k8-patterns ex --n 18 --family k8 --method patterns --pmax 7 \
+  --json ex18-k8-patterns.json
 
 # deletion distances: vertex and edge scans of graphs and of 3-graphs
 for kind in vertex edge; do
@@ -143,8 +157,10 @@ for mode in class vertex; do
     --trace "sym-$mode.json" -o "sym-$mode.hgr"
 done
 run lag-supports lagrangian k4free12.hgr --supports --json lag-supports.json
-# 13 vertices, past lagrangian.SUPPORT_LIMIT: only --supports enumerates supports
-run lag-big-supports lagrangian big.hgr --supports --json lag-big-supports.json
+run make-big3 make turanr 13 3 3 -o big3.hgr
+# a 3-graph on 13 vertices, past lagrangian.SUPPORT_LIMIT: only --supports
+# enumerates supports (graphs take no float search)
+run lag-big-supports lagrangian big3.hgr --supports --json lag-big-supports.json
 python - lag-big-supports.json <<'PY'
 import json, sys
 p = json.load(open(sys.argv[1]))
@@ -152,7 +168,6 @@ if not (p["method"] == "support-enumeration" and p["gap"] == 0 and p["converged"
     sys.exit(f"lag-big-supports: expected an exact support enumeration, got {p}")
 PY
 run lag-turanr --seed 3 lagrangian t.hgr --format json --json lag-turanr.json
-run make-big3 make turanr 13 3 3 -o big3.hgr
 run lag-big3 --seed 5 lagrangian big3.hgr --restarts 16 --json lag-big3.json
 run lag-empty lagrangian empty14.hgr --restarts 4 --json lag-empty.json
 # every triple through vertex 0, plus 123: the full-support ascent stalls
@@ -231,6 +246,7 @@ fail seed-negative --seed -1 lagrangian c5.hgr
 # a directory where a file should be is a file error (2), read or written
 fail check-dir-input check . --class bipartite
 fail check-dir-json check c5.hgr --class bipartite --json .
+fail check-json-under-file check c5.hgr --class bipartite --json c5.hgr/x.json
 # so is an output path in no directory, before the command runs
 fail ex-json-missing-dir ex --n 8 --family sigma:3 --json missing/x.json
 # every other output path too: a file where a directory should be, or a missing directory
