@@ -18,7 +18,7 @@ class BudgetError(ExtremalError):
 # the exception that does not refuse: past it the edge deletion distance
 # comes back inexact.
 CAPS = {
-    "link sets": 2_000_000,  # enumerate_rgraphs: children built and orbit images formed
+    "link sets": 2_000_000,  # enumerate_rgraphs: link sets, orbit images, 30 a child refined
     "ascent steps": 200_000,  # lagrangian.maximize: gradient steps over all its ascents
     "support subsets": 2**14 - 1,  # lagrangian.maximize: vertex subsets one support walk visits
     "compositions": 10**6,  # ex_via_patterns: compositions of n over all its patterns

@@ -40,14 +40,18 @@ first label goes to a vertex of the bottom colour cell, which lies inside the
 minimum-degree cell, so the canonical parent of a graph ``G`` is ``G - v``
 for a vertex ``v`` of minimum degree.  A child whose new vertex is not of
 minimum degree is rejected before refinement, and refinement decides most of
-the rest before any search.  Each class is then accepted exactly once, so the
-dict keyed by certificate is only a check.  A child is
-built from its parent by a trusted constructor that carries the parent's
-bitmask views over, updated for the new link, instead of validating and
-deriving them again.  The predicate must be hereditary (closed under taking
-subgraphs), so it prunes both the link search and every level, and it is
-told which edge was just added, so that it can check only what that edge
-could have created.
+the rest before any search.  The same test cuts the parent side, as geng
+(McKay and Piperno, 2014) cuts by degree: each old vertex gains at most
+``C(k - 1, r - 2)`` link edges, so no child of a parent on ``k`` vertices has
+minimum degree above the parent's plus that, and the walk never extends a
+link set of that size, since every larger one gives the new vertex more than
+the minimum degree.  Each class is then accepted exactly once, so the dict
+keyed by certificate is only a check.  A child is built from its parent by a
+trusted constructor that carries the parent's bitmask views over, updated for
+the new link, instead of validating and deriving them again.  The predicate
+must be hereditary (closed under taking subgraphs), so it prunes both the
+link search and every level, and it is told which edge was just added, so
+that it can check only what that edge could have created.
 
 Output contract: every graph that leaves enumeration, and every
 ``canonical_form``, is in its certificate labeling, and enumeration lists
@@ -56,8 +60,9 @@ classes, not on which representative a search happened to build first.
 
 Budgets are deliberate: the module refuses work it cannot finish rather than
 degrading silently.  ``canonical_form`` refuses more than ``CANONICAL_MAX_N``
-vertices, and one enumeration refuses past ``CAPS["link sets"]``: the
-children it builds plus the orbit images its link search forms.
+vertices, and one enumeration refuses past ``CAPS["link sets"]``: the link
+sets it walks, the orbit images its link search forms, and
+``REFINED_CHILD_UNITS`` for each child it refines.
 """
 
 from __future__ import annotations
@@ -70,6 +75,11 @@ from .errors import BudgetError, Meter, SoundnessError
 from .rgraph import RGraph, VertexPartition, mask_of, mask_to_tuple
 
 CANONICAL_MAX_N = 10
+
+# What one child that reaches refinement adds to the "link sets" meter: its
+# refinement and most often a certificate search cost about as much as 30
+# link sets walked or orbit images formed (fitted on timed enumerations).
+REFINED_CHILD_UNITS = 30
 
 
 # Appended to every batch before native tuple comparison: makes a proper
@@ -301,9 +311,13 @@ def enumerate_rgraphs(
 
     Each class is returned in its certificate labeling (a fixed point of
     ``canonical_form``), and the list is in increasing certificate order.
-    Past ``CAPS["link sets"]`` children and orbit images, or past
-    ``CANONICAL_MAX_N`` vertices, the call raises ``BudgetError``; a
-    negative ``n`` or an ``r`` below 2 raises ``ValueError``.
+    Past ``CAPS["link sets"]``, or past ``CANONICAL_MAX_N`` vertices, the
+    call raises ``BudgetError``; a negative ``n`` or an ``r`` below 2 raises
+    ``ValueError``.  The unit counts each link set walked and each orbit
+    image formed, at a few microseconds each, and ``REFINED_CHILD_UNITS``
+    for each child that reaches refinement, whose refinement and certificate
+    search cost about as much as that many link sets; so the count tracks
+    time within a factor of about 2 across graphs and 3-graphs.
 
     The predicate must be hereditary: true of every graph isomorphic to a
     subgraph of a graph it holds for.  So a graph that fails is pruned with
@@ -332,6 +346,14 @@ def enumerate_rgraphs(
     below goes through unchanged.  A gate no graph on ``n`` vertices can
     meet (``d > C(n - 1, r - 1)`` or ``L > C(n, r)``) returns nothing.
 
+    Degree cap: the link walk of a parent ``p`` on ``k`` vertices stops at
+    link sets of size ``min(p.degrees) + C(k - 1, r - 2)``.  The new vertex
+    has degree ``len(picked)``, and each old vertex gains at most
+    ``C(k - 1, r - 2)`` link edges, the ``(r - 2)``-sets of the other old
+    vertices, so a larger set gives a child whose new vertex is not of
+    minimum degree, which ``register`` rejects; link sets only grow down the
+    walk, so nothing below the cap is lost.
+
     Exactness, by induction on the level.  The labelings that attain a
     graph's certificate differ by its automorphisms, so the vertices they
     label first form one orbit, the canonical orbit; the final beam holds one
@@ -349,8 +371,11 @@ def enumerate_rgraphs(
     hereditary predicate, so its class is some parent ``p`` one level down.
     Moving the link of ``m`` into ``p`` gives a link set whose orbit under
     Aut(p) is tried exactly once, at its first set; that set and all its
-    prefixes are first of their orbits and span subgraphs of ``g``, so the
-    walk reaches it.  Its child is isomorphic to ``g`` by a map sending ``m``
+    prefixes are first of their orbits and span subgraphs of ``g``, and its
+    size is the degree of ``m``, the minimum degree of ``g``, which is at
+    most the degree cap since deleting ``m`` lowers each other degree by at
+    most ``C(k - 1, r - 2)`` (the fact behind the degree gate), so the walk
+    reaches it.  Its child is isomorphic to ``g`` by a map sending ``m``
     to ``k``, so ``k`` is in the child's canonical orbit and the child is
     accepted.  Uniqueness: two accepted children of one class both lose a
     vertex of the canonical orbit at ``k``, so both come from the class of
@@ -403,6 +428,7 @@ def enumerate_rgraphs(
                 return  # the bottom cell lies inside the minimum-degree cell
             if low < need_degree[k] or len(g.edge_masks) < need_edges[k]:
                 return  # no graph that meets the gates descends from g
+            meter.tick(REFINED_CHILD_UNITS)
             colour = _refine(g)
             if colour[k] != min(colour):
                 return  # the first label goes to a vertex of the bottom cell
@@ -418,6 +444,8 @@ def enumerate_rgraphs(
             out[key] = (g, beam, eq)
 
         for base, base_beam, base_eq in reps:
+            # no child has minimum degree above cap (see "Degree cap" above)
+            cap = base.min_degree() + comb(max(k - 1, 0), r - 2)
             # Aut(base) acting on link edges; a child whose link is not the
             # first of its orbit in the preorder below is isomorphic to an
             # earlier child of this parent by a map that fixes the new vertex,
@@ -440,6 +468,8 @@ def enumerate_rgraphs(
                 ):
                     return  # no supergraph can satisfy a hereditary predicate
                 register(g)
+                if len(picked) == cap:
+                    return  # every larger link set gives k more than the minimum degree
                 for i in range(start, len(pool)):
                     grow(i + 1, picked + (i,))
 

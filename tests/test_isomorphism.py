@@ -25,7 +25,14 @@ from extremal.morphism import (
     single_graph,
     two_covered_free_patterns,
 )
-from extremal.rgraph import RGraph, blowup, equivalence_classes, is_two_covered, mask_of
+from extremal.rgraph import (
+    RGraph,
+    blowup,
+    delete_vertices,
+    equivalence_classes,
+    is_two_covered,
+    mask_of,
+)
 
 from conftest import cycle, random_rgraph
 
@@ -146,13 +153,14 @@ def test_budget(monkeypatch):
         canonical_form(RGraph(2, 11, ()))
     with pytest.raises(BudgetError, match="canonical forms on n <= 10, got 11"):
         enumerate_rgraphs(11, 2)
-    # the 11 graphs on 4 vertices take 113 link sets, the 34 on 5 take 728,
-    # and each call counts its own
-    monkeypatch.setitem(errors.CAPS, "link sets", 113)
+    # the 11 graphs on 4 vertices take 629 link sets, the 34 on 5 take 2,154
+    # (each child that reaches refinement counts REFINED_CHILD_UNITS), and
+    # each call counts its own
+    monkeypatch.setitem(errors.CAPS, "link sets", 629)
     assert len(enumerate_rgraphs(4, 2)) == len(enumerate_rgraphs(4, 2)) == 11
-    with pytest.raises(BudgetError, match="link sets past the cap of 113"):
+    with pytest.raises(BudgetError, match="link sets past the cap of 629"):
         enumerate_rgraphs(5, 2)
-    with pytest.raises(BudgetError, match="link sets past the cap of 113"):
+    with pytest.raises(BudgetError, match="link sets past the cap of 629"):
         enumerate_rgraphs(5, 3)
 
 
@@ -521,6 +529,41 @@ def test_gates_on_all_graphs(all_graphs_upto_7, all_3graphs_upto_6):
     for n, r, fixture, d, m in cases:
         want = [g for g in fixture[n] if g.min_degree() >= d and len(g.edges) >= m]
         assert enumerate_rgraphs(n, r, min_degree=d, min_edges=m) == want
+
+
+def test_deleting_a_vertex_lowers_the_minimum_degree_by_at_most_the_cap(
+    all_graphs_upto_7, all_3graphs_upto_6
+):
+    # the link walk stops at min_degree(parent) + C(k - 1, r - 2): no child of
+    # a parent on k vertices has a larger minimum degree
+    for fixture, r in ((all_graphs_upto_7, 2), (all_3graphs_upto_6, 3)):
+        for n, graphs in fixture.items():
+            if n < 2:
+                continue
+            for g in graphs:
+                for v in range(n):
+                    rest = delete_vertices(g, [v])
+                    assert g.min_degree() <= rest.min_degree() + math.comb(n - 2, r - 2)
+
+
+def test_degree_cap_halves_the_children_built(monkeypatch):
+    # the walk builds a child only below the cap; refinement, and so the
+    # classes and their order, are as without it (5,759 children built then)
+    calls = {"built": 0, "refined": 0}
+    plus_vertex, refine = RGraph._plus_vertex, isomorphism._refine
+
+    def counted_plus_vertex(self, *args):
+        calls["built"] += 1
+        return plus_vertex(self, *args)
+
+    def counted_refine(h):
+        calls["refined"] += 1
+        return refine(h)
+
+    monkeypatch.setattr(RGraph, "_plus_vertex", counted_plus_vertex)
+    monkeypatch.setattr(isomorphism, "_refine", counted_refine)
+    assert len(enumerate_rgraphs(7, 2)) == 1044
+    assert calls == {"built": 2590, "refined": 1640}
 
 
 def test_gates_no_graph_can_meet():
